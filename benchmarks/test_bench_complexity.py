@@ -9,6 +9,8 @@ Also times the two solvers as separate pytest benchmarks so the timing
 tables show both directly.
 """
 
+import time
+
 import pytest
 
 from repro.channel import channel_matrix
@@ -38,8 +40,15 @@ def test_bench_heuristic_latency(benchmark, problem):
     heuristic = RankingHeuristic(kappa=1.3)
     allocation = benchmark(heuristic.solve, problem)
     assert allocation.is_feasible
+    if benchmark.stats is not None:
+        mean = benchmark.stats["mean"]
+    else:
+        # --benchmark-disable runs the solve once and keeps no stats.
+        start = time.perf_counter()
+        heuristic.solve(problem)
+        mean = time.perf_counter() - start
     # Sub-millisecond on any modern machine (paper: 0.07 s in Matlab).
-    assert benchmark.stats["mean"] < 0.05
+    assert mean < 0.05
 
 
 def test_bench_optimal_latency(benchmark, problem):

@@ -42,7 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import ClusterError, RequestShedError
+from ..errors import ClusterError, DeadlineExceeded, RequestShedError
 from ..runtime.resilience import Deadline
 from ..runtime.service import AllocationRequest, AllocationResult
 from ..tracecontext import Span
@@ -454,6 +454,20 @@ class ClusterFrontend:
                     requests, trace_parents=parents
                 ),
             )
+        except DeadlineExceeded as exc:
+            # The budget ran out inside the shard: the submitter sees a
+            # shed request, as it would for one that expired in the queue.
+            for pending in live:
+                self._count_shed("expired")
+                self._finish_shed_span(pending.root, "expired")
+                if not pending.future.done():
+                    pending.future.set_exception(
+                        RequestShedError(
+                            f"deadline expired while serving on "
+                            f"{shard.shard_id}: {exc}"
+                        )
+                    )
+            return
         except Exception as exc:
             # The exception reaches the awaiting submitters through
             # their futures, but nothing aggregate would show a shard

@@ -351,6 +351,23 @@ class ContinuousOptimizer:
     ) -> Optional[np.ndarray]:
         support = _Support(problem, options, plan)
         starts = self._initial_points(problem, options, heuristic, support)
+        best = self._best_descent(problem, starts, support, options)
+        if best is None and options.warm_start is not None and len(starts) == 1:
+            # A dominating warm start's lone descent failed: run the
+            # anchor and restarts it had skipped.
+            cold = replace(options, warm_start=None)
+            starts = self._initial_points(problem, cold, heuristic, support)
+            best = self._best_descent(problem, starts, support, options)
+        return best
+
+    def _best_descent(
+        self,
+        problem: AllocationProblem,
+        starts: List[np.ndarray],
+        support: _Support,
+        options: OptimizerOptions,
+    ) -> Optional[np.ndarray]:
+        """The highest-utility SLSQP result over *starts* (None if all fail)."""
         best: Optional[np.ndarray] = None
         best_utility = -math.inf
         for x0 in starts:

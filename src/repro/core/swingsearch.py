@@ -9,9 +9,9 @@ discrete space of *assignments* ``a[j] in {off, 0..M-1}``:
 
 1. **Seed** -- Algorithm 1's SJR ranking (:func:`rank_transmitters`)
    truncated to the power budget, exactly the ranking heuristic's
-   allocation.  A warm-start swing matrix (the serving layer's nearest
-   cached allocation) is projected onto the assignment space and used
-   instead when it scores better.
+   allocation.  A caller's warm-start swing matrix (e.g. the previous
+   solve along a trajectory) is projected onto the assignment space and
+   used instead when it scores better.
 2. **Steepest-ascent local search** -- every round evaluates all
    single moves (switch a TX off, switch one on toward an RX, reassign
    a TX to a different RX) plus off+on *swap* pairs, applies the best
@@ -159,11 +159,31 @@ class _SearchState:
         self.signal[rx] += self.gains[tx, rx]
 
 
-def _tie_digest(seed: int, iteration: int, move: Tuple[int, int, int, int]) -> bytes:
+def _tie_digest(seed: int, iteration: int, move: List[int]) -> bytes:
     """Deterministic tie-break key for one candidate move (blake2b)."""
     kind, tx_out, tx_in, rx = move
     payload = f"{seed}:{iteration}:{kind}:{tx_out}:{tx_in}:{rx}".encode()
     return hashlib.blake2b(payload, digest_size=8).digest()
+
+
+def _move_block(kind: int, tx_out: Any, tx_in: Any, rx: np.ndarray) -> np.ndarray:
+    """``(len(rx), 4)`` move rows; scalar columns broadcast down the block."""
+    block = np.empty((len(rx), 4), dtype=int)
+    block[:, 0] = kind
+    block[:, 1] = tx_out
+    block[:, 2] = tx_in
+    block[:, 3] = rx
+    return block
+
+
+def _off_components(
+    state: _SearchState, active: np.ndarray, served: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(signals, totals) after switching off each of the *active* TXs."""
+    totals = state.total[None, :] - state.gains[active]
+    signals = np.repeat(state.signal[None, :], active.size, axis=0)
+    signals[np.arange(active.size), served] -= state.gains[active, served]
+    return signals, totals
 
 
 class SwingSearchSolver:
@@ -349,16 +369,11 @@ class SwingSearchSolver:
         while state.active_count > capacity:
             active = np.nonzero(state.assignment != OFF)[0]
             served = state.assignment[active]
-            totals = state.total[None, :] - state.gains[active]
-            signals = np.repeat(state.signal[None, :], active.size, axis=0)
-            signals[np.arange(active.size), served] -= state.gains[active, served]
+            signals, totals = _off_components(state, active, served)
             utilities = self._stack_utility(signals, totals)
-            moves = [
-                (_MOVE_OFF, int(tx), -1, int(rx))
-                for tx, rx in zip(active, served)
-            ]
+            moves = _move_block(_MOVE_OFF, active, -1, served)
             best = self._pick_best(utilities, moves, iteration)
-            state.switch_off(moves[best][1])
+            state.switch_off(int(moves[best, 1]))
             self._count("optimizer.swing.repairs")
             iteration += 1
 
@@ -375,19 +390,18 @@ class SwingSearchSolver:
         )
 
     def _pick_best(
-        self,
-        utilities: np.ndarray,
-        moves: List[Tuple[int, int, int, int]],
-        iteration: int,
+        self, utilities: np.ndarray, moves: np.ndarray, iteration: int
     ) -> int:
-        """Index of the best candidate; exact ties break by blake2b."""
-        best_utility = float(np.max(utilities))
-        tied = np.nonzero(utilities == best_utility)[0]
+        """Row of the best candidate; exact ties break by blake2b."""
+        tied = np.flatnonzero(utilities == utilities.max())
         if tied.size == 1:
             return int(tied[0])
         seed = self.options.seed
         return int(
-            min(tied, key=lambda c: _tie_digest(seed, iteration, moves[int(c)]))
+            min(
+                tied,
+                key=lambda c: _tie_digest(seed, iteration, moves[c].tolist()),
+            )
         )
 
     def _candidate_moves(
@@ -395,12 +409,13 @@ class SwingSearchSolver:
         state: _SearchState,
         allowed: np.ndarray,
         capacity: int,
-    ) -> Tuple[np.ndarray, np.ndarray, List[Tuple[int, int, int, int]]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stack every legal move's (signal, total) components.
 
         Returns ``(signals, totals, moves)`` where row ``c`` holds the
-        post-move amplitude components of candidate ``c``.  Move tuples
-        are ``(kind, tx_out, tx_in, rx)`` with ``-1`` for unused slots.
+        post-move amplitude components of candidate ``c`` and ``moves``
+        is the ``(C, 4)`` int array of ``(kind, tx_out, tx_in, rx)`` rows,
+        ``-1`` marking unused slots.
         """
         gains = state.gains
         signal, total = state.signal, state.total
@@ -408,33 +423,25 @@ class SwingSearchSolver:
         served = state.assignment[active]
         signal_rows: List[np.ndarray] = []
         total_rows: List[np.ndarray] = []
-        moves: List[Tuple[int, int, int, int]] = []
+        move_rows: List[np.ndarray] = []
 
         # OFF: each active TX stops serving (frees budget, cuts its own
         # signal but also its interference at every other RX).
         if active.size:
-            totals = total[None, :] - gains[active]
-            signals = np.repeat(signal[None, :], active.size, axis=0)
-            signals[np.arange(active.size), served] -= gains[active, served]
-            total_rows.append(totals)
-            signal_rows.append(signals)
-            moves.extend(
-                (_MOVE_OFF, int(tx), -1, int(rx))
-                for tx, rx in zip(active, served)
-            )
+            out_signals, out_totals = _off_components(state, active, served)
+            total_rows.append(out_totals)
+            signal_rows.append(out_signals)
+            move_rows.append(_move_block(_MOVE_OFF, active, -1, served))
 
         # ON: any allowed inactive (TX, RX) pair, budget permitting.
         on_tx, on_rx = np.nonzero(allowed & (state.assignment == OFF)[:, None])
-        if on_tx.size and state.active_count < capacity:
+        if on_tx.size and active.size < capacity:
             totals = total[None, :] + gains[on_tx]
             signals = np.repeat(signal[None, :], on_tx.size, axis=0)
             signals[np.arange(on_tx.size), on_rx] += gains[on_tx, on_rx]
             total_rows.append(totals)
             signal_rows.append(signals)
-            moves.extend(
-                (_MOVE_ON, -1, int(tx), int(rx))
-                for tx, rx in zip(on_tx, on_rx)
-            )
+            move_rows.append(_move_block(_MOVE_ON, -1, on_tx, on_rx))
 
         # REASSIGN: an active TX redirects its beamspot to another RX
         # it is allowed to serve (total interference stays put).
@@ -452,36 +459,37 @@ class SwingSearchSolver:
                 signals[rows, re_rx] += gains[re_tx, re_rx]
                 total_rows.append(totals)
                 signal_rows.append(signals)
-                moves.extend(
-                    (_MOVE_REASSIGN, int(tx), int(tx), int(rx))
-                    for tx, rx in zip(re_tx, re_rx)
-                )
+                move_rows.append(_move_block(_MOVE_REASSIGN, re_tx, re_tx, re_rx))
 
         # SWAP: switch one active TX off and an inactive one on, as one
         # atomic move -- the escape hatch when the budget is saturated
-        # and no single move improves.
+        # and no single move improves.  Rows run active-major.
         if active.size and on_tx.size:
-            out_totals = total[None, :] - gains[active]  # (A, M)
-            out_signals = np.repeat(signal[None, :], active.size, axis=0)
-            out_signals[np.arange(active.size), served] -= gains[active, served]
             totals = out_totals[:, None, :] + gains[on_tx][None, :, :]
             signals = np.repeat(out_signals[:, None, :], on_tx.size, axis=1)
             signals[:, np.arange(on_tx.size), on_rx] += gains[on_tx, on_rx]
             total_rows.append(totals.reshape(-1, total.size))
             signal_rows.append(signals.reshape(-1, signal.size))
-            moves.extend(
-                (_MOVE_SWAP, int(tx_out), int(tx_in), int(rx))
-                for tx_out in active
-                for tx_in, rx in zip(on_tx, on_rx)
+            move_rows.append(
+                _move_block(
+                    _MOVE_SWAP,
+                    np.repeat(active, on_tx.size),
+                    np.tile(on_tx, active.size),
+                    np.tile(on_rx, active.size),
+                )
             )
 
-        if not moves:
+        if not move_rows:
             empty = np.empty((0, signal.size))
-            return empty, empty, moves
-        return np.concatenate(signal_rows), np.concatenate(total_rows), moves
+            return empty, empty, np.empty((0, 4), dtype=int)
+        return (
+            np.concatenate(signal_rows),
+            np.concatenate(total_rows),
+            np.concatenate(move_rows),
+        )
 
-    def _apply(self, state: _SearchState, move: Tuple[int, int, int, int]) -> None:
-        kind, tx_out, tx_in, rx = move
+    def _apply(self, state: _SearchState, move: np.ndarray) -> None:
+        kind, tx_out, tx_in, rx = move.tolist()
         if kind == _MOVE_OFF:
             state.switch_off(tx_out)
         elif kind == _MOVE_ON:
@@ -505,18 +513,17 @@ class SwingSearchSolver:
         iterations = flips = swaps = 0
         for _ in range(self.options.max_iterations):
             signals, totals, moves = self._candidate_moves(state, allowed, capacity)
-            if not moves:
+            if not len(moves):
                 break
             utilities = self._stack_utility(signals, totals)
             best = self._pick_best(utilities, moves, iterations)
             if utilities[best] - current <= self.options.tolerance:
                 break
-            move = moves[best]
-            self._apply(state, move)
+            self._apply(state, moves[best])
             current = float(utilities[best])
             trajectory.append(current)
             iterations += 1
-            if move[0] == _MOVE_SWAP:
+            if moves[best, 0] == _MOVE_SWAP:
                 swaps += 1
             else:
                 flips += 1

@@ -52,7 +52,12 @@ from ..errors import DeadlineExceeded, OptimizationError, RuntimeEngineError
 from ..optics import LEDModel, Photodiode, cree_xte_paper_power, s5971
 from .faults import FaultPlan
 from .metrics import MetricsRegistry
-from .resilience import Deadline, ResiliencePolicy, degradation_fallbacks
+from .resilience import (
+    DEGRADATION_CHAIN,
+    Deadline,
+    ResiliencePolicy,
+    degradation_fallbacks,
+)
 from .tracing import SpanRecorder, shift_payload
 
 
@@ -66,11 +71,9 @@ class SolveTask:
     ``warm_start`` is an optional (N, M) swing matrix that seeds SLSQP
     for the ``optimal``/``binary`` solvers and the combinatorial
     ``swing`` search (where its binary projection competes with the
-    ranked seed) -- the serving layer fills it with the nearest cached
-    allocation so mobility-style traffic skips most of the solver
-    iterations.  ``reduce`` enables the SJR-pruned reduced-variable
-    program / candidate-pair pruning (with automatic full-dimension
-    fallback).
+    ranked seed); the serving layer leaves it unset.  ``reduce``
+    enables the SJR-pruned reduced-variable program / candidate-pair
+    pruning (with automatic full-dimension fallback).
 
     ``deadline`` is an absolute :func:`time.monotonic` timestamp (the
     request's remaining budget, set by the service); it is enforced by
@@ -409,6 +412,10 @@ class SolverPool:
         attempt = first_attempt
         deadline_hit = timed_out and deadline.expired
         fallbacks = degradation_fallbacks(task.solver, timed_out=timed_out)
+        if not fallbacks and timed_out:
+            # Nothing is cheaper than the floor solver: it re-runs as its
+            # own last resort, so an expired deadline still gets an answer.
+            fallbacks = (DEGRADATION_CHAIN[-1],)
         for position, fallback in enumerate(fallbacks):
             degraded_task = replace(task, solver=fallback, warm_start=None)
             last = position == len(fallbacks) - 1

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +50,61 @@ def placement_fingerprint(
         for x, y in positions
     )
     return f"{base}:{quantized}"
+
+
+class PlacementMemory:
+    """Recently served placements as one ``(K, M, 2)`` array.
+
+    A placement remembered again keeps its first positions and only
+    becomes the most recent; past *capacity* the least recent one is
+    evicted.  :meth:`neighbors` compares a query against every entry in
+    one broadcast.
+    """
+
+    def __init__(self, capacity: int, num_receivers: int) -> None:
+        self._positions = np.empty((capacity, num_receivers, 2))
+        self._stamps = np.zeros(capacity, dtype=np.int64)
+        self._keys: List[str] = []
+        self._slots: Dict[str, int] = {}
+        self._clock = 0
+
+    def remember(self, key: str, positions: np.ndarray) -> None:
+        self._clock += 1
+        slot = self._slots.get(key)
+        if slot is None:
+            if len(self._keys) < len(self._stamps):
+                slot = len(self._keys)
+                self._keys.append(key)
+            else:
+                slot = int(np.argmin(self._stamps))
+                del self._slots[self._keys[slot]]
+                self._keys[slot] = key
+            self._slots[key] = slot
+            self._positions[slot] = positions
+        self._stamps[slot] = self._clock
+
+    def neighbors(
+        self, key: str, positions: np.ndarray
+    ) -> Iterator[Tuple[str, np.ndarray]]:
+        """``(key, moved receiver indices)`` of partly moved placements.
+
+        Only entries other than *key* where some but not all receivers
+        moved qualify; the fewest moved come first, the most recent
+        first among equals.
+        """
+        count = len(self._keys)
+        if count == 0 or positions.shape != self._positions.shape[1:]:
+            return
+        moved = np.any(self._positions[:count] != positions, axis=2)
+        moved_counts = moved.sum(axis=1)
+        eligible = (moved_counts > 0) & (moved_counts < positions.shape[0])
+        own = self._slots.get(key)
+        if own is not None:
+            eligible[own] = False
+        slots = np.flatnonzero(eligible)
+        order = np.lexsort((-self._stamps[slots], moved_counts[slots]))
+        for slot in slots[order]:
+            yield self._keys[slot], np.flatnonzero(moved[slot])
 
 
 class SLOObserver(Protocol):
@@ -164,13 +218,8 @@ class ServiceOptions:
     Attributes:
         channel_cache_capacity / allocation_cache_capacity / quantum /
             pool: as in PR 1.
-        warm_start: seed optimal-mode SLSQP solves from the nearest
-            previously solved placement (within ``warm_start_radius``)
-            instead of the cold heuristic seed.
-        warm_start_radius: maximum per-RX displacement [m] for a cached
-            allocation to qualify as a warm-start neighbor.
         neighborhood_memory: recently served placements remembered for
-            warm-start and incremental-channel neighbor lookups.
+            incremental-channel neighbor lookups.
         incremental_channel: when a cache-missing placement differs from
             a remembered one in only some receivers, recompute just those
             columns of the channel matrix instead of the full rebuild.
@@ -186,8 +235,6 @@ class ServiceOptions:
     allocation_cache_capacity: int = 1024
     quantum: float = FINGERPRINT_QUANTUM
     pool: PoolOptions = field(default_factory=PoolOptions)
-    warm_start: bool = True
-    warm_start_radius: float = 1.5
     neighborhood_memory: int = 64
     incremental_channel: bool = True
     resilience: ResilienceOptions = field(default_factory=ResilienceOptions)
@@ -197,10 +244,6 @@ class ServiceOptions:
         if self.quantum <= 0:
             raise RuntimeEngineError(
                 f"quantum must be positive, got {self.quantum}"
-            )
-        if self.warm_start_radius < 0:
-            raise RuntimeEngineError(
-                f"warm-start radius must be >= 0, got {self.warm_start_radius}"
             )
         if self.neighborhood_memory < 1:
             raise RuntimeEngineError(
@@ -253,12 +296,9 @@ class AllocationService:
         )
         self._base_fingerprint = scene.fingerprint(self.options.quantum)
         self._slo: Optional[SLOObserver] = None
-        # Recently served placements: key -> (M, 2) positions, used to
-        # find incremental-channel and warm-start neighbors.
-        self._placement_memory: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        # Solved optimal-mode allocations: key -> (positions, swings).
-        self._warm_memory: "OrderedDict[Tuple, Tuple[np.ndarray, np.ndarray]]" = (
-            OrderedDict()
+        # Recently served placements, for incremental-channel neighbors.
+        self._placement_memory = PlacementMemory(
+            self.options.neighborhood_memory, scene.num_receivers
         )
 
     # ------------------------------------------------------------------
@@ -496,50 +536,24 @@ class AllocationService:
             self._base_fingerprint, positions, self.options.quantum
         )
 
-    def _remember_placement(self, key: str, positions: np.ndarray) -> None:
-        memory = self._placement_memory
-        if key in memory:
-            memory.move_to_end(key)
-        else:
-            memory[key] = positions
-            while len(memory) > self.options.neighborhood_memory:
-                memory.popitem(last=False)
-
     def _incremental_channel(
         self, key: str, positions: np.ndarray
     ) -> Optional[np.ndarray]:
         """Build this placement's matrix from a near neighbor's columns.
 
-        Scans the remembered placements for the one differing in the
-        fewest receivers; when some receivers are unchanged (and the
-        neighbor's matrix is still cached), only the moved columns are
-        recomputed.  Returns None when every neighbor moved wholesale.
+        Takes the remembered placement differing in the fewest receivers
+        whose matrix is still cached, and recomputes only the moved
+        columns.  Returns None when every neighbor moved wholesale.
         """
-        best_key: Optional[str] = None
-        best_moved: Optional[np.ndarray] = None
-        num_rx = positions.shape[0]
-        for other_key, other_positions in reversed(self._placement_memory.items()):
-            if other_key == key:
-                continue
-            moved = np.nonzero(
-                np.any(other_positions != positions, axis=1)
-            )[0]
-            if moved.size == 0 or moved.size >= num_rx:
-                continue
-            if best_moved is None or moved.size < best_moved.size:
-                if self._channel_cache.peek(other_key) is None:
-                    continue
-                best_key, best_moved = other_key, moved
-                if moved.size == 1:
-                    break
-        if best_key is None:
-            return None
-        base = self._channel_cache.peek(best_key)
-        if base is None:
+        for neighbor_key, moved in self._placement_memory.neighbors(key, positions):
+            base = self._channel_cache.peek(neighbor_key)
+            if base is not None:
+                break
+        else:
             return None
         with self.metrics.timer("service.channel_incremental_seconds"):
             matrix = channel_matrix_update(
-                self.scene, base, positions[best_moved], best_moved
+                self.scene, base, positions[moved], moved
             )
         self.metrics.counter("service.channel_incremental").increment()
         return matrix
@@ -614,7 +628,7 @@ class AllocationService:
                     continue
                 matrix, repaired = self._screen_channel(key, positions, matrix)
                 self._channel_cache.put(key, matrix)
-                self._remember_placement(key, positions)
+                self._placement_memory.remember(key, positions)
                 for i in slots:
                     channels[i] = matrix
                     channel_meta[i] = {
@@ -635,7 +649,7 @@ class AllocationService:
                         key, positions, matrix
                     )
                     self._channel_cache.put(key, matrix)
-                    self._remember_placement(key, positions)
+                    self._placement_memory.remember(key, positions)
                     for i in slots:
                         channels[i] = matrix
                         channel_meta[i] = {
@@ -643,7 +657,7 @@ class AllocationService:
                         }
         for i, key in enumerate(placement_keys):
             if channel_hits[i]:
-                self._remember_placement(
+                self._placement_memory.remember(
                     key, np.array(requests[i].rx_positions_xy, dtype=float)
                 )
         for meta in channel_meta:
@@ -652,58 +666,12 @@ class AllocationService:
             ).increment()
         return channels, placement_keys, channel_hits, channel_meta
 
-    #: Solvers that consume a warm start (SLSQP seeding for
-    #: optimal/binary; seed-candidate projection for the swing search).
-    _WARM_SOLVERS = ("optimal", "swing", "binary")
-
-    def _warm_start_for(
-        self, solver: str, positions: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """The nearest cached allocation's swings, or None.
-
-        "Nearest" is the smallest worst-case receiver displacement across
-        the warm-start memory; entries farther than
-        ``warm_start_radius`` on any receiver do not qualify.
-        """
-        best: Optional[np.ndarray] = None
-        best_distance = self.options.warm_start_radius
-        for entry_key, (entry_positions, entry_swings) in reversed(
-            self._warm_memory.items()
-        ):
-            if entry_key[2] != solver:
-                continue
-            if entry_positions.shape != positions.shape:
-                # A different receiver count must never qualify: the
-                # subtraction below would broadcast instead of erroring
-                # and could seed a wrong-shaped start into the solver.
-                continue
-            distance = float(
-                np.max(np.linalg.norm(entry_positions - positions, axis=1))
-            )
-            if distance <= best_distance:
-                best = entry_swings
-                best_distance = distance
-        return best
-
-    def _remember_allocation(
-        self, key: Tuple, positions: np.ndarray, swings: np.ndarray
-    ) -> None:
-        memory = self._warm_memory
-        if key in memory:
-            memory.move_to_end(key)
-        memory[key] = (positions, swings)
-        while len(memory) > self.options.neighborhood_memory:
-            memory.popitem(last=False)
-
     def _allocation_stage(
         self, requests, placement_keys, channels, deadlines, roots=None
     ):
         """Resolve every request's allocation, fanning misses to the pool.
 
-        Optimal-mode misses are seeded from the nearest previously solved
-        placement (the warm-start pipeline); results feed back into the
-        neighborhood memory for the next request.  Each miss group's
-        solve carries the tightest deadline of its requests into the
+        Each miss group's solve carries the tightest deadline of its requests into the
         pool; degraded outcomes (fallback solver, expired deadline) are
         flagged on the results and kept out of the caches so a healthy
         retry is never served a degraded allocation.
@@ -767,19 +735,8 @@ class AllocationService:
                 len(miss_slots)
             )
             tasks = []
-            miss_positions: List[np.ndarray] = []
             for key, slots in miss_slots.items():
                 request = requests[slots[0]]
-                positions = np.array(request.rx_positions_xy, dtype=float)
-                miss_positions.append(positions)
-                warm = None
-                if (
-                    self.options.warm_start
-                    and request.solver in self._WARM_SOLVERS
-                ):
-                    warm = self._warm_start_for(request.solver, positions)
-                    if warm is not None:
-                        self.metrics.counter("service.warm_starts").increment()
                 group_deadline = min(
                     (deadlines[i] for i in slots),
                     key=lambda d: d.expires_at,
@@ -793,7 +750,6 @@ class AllocationService:
                         led=self.scene.led,
                         photodiode=self.scene.receivers[0].photodiode,
                         noise=self.noise,
-                        warm_start=warm,
                         deadline=(
                             group_deadline.expires_at
                             if group_deadline.bounded
@@ -806,8 +762,8 @@ class AllocationService:
                 )
             with self.metrics.timer("service.solve_seconds"):
                 solved = self._pool.solve_outcomes(tasks)
-            for outcome, positions, task, (key, slots) in zip(
-                solved, miss_positions, tasks, miss_slots.items()
+            for outcome, task, (key, slots) in zip(
+                solved, tasks, miss_slots.items()
             ):
                 matrix = outcome.swings
                 if not outcome.degraded:
@@ -815,8 +771,6 @@ class AllocationService:
                     # healthy solve under the same key must not inherit
                     # a timed-out fallback allocation.
                     self._allocation_cache.put(key, matrix)
-                    if key[2] in self._WARM_SOLVERS:
-                        self._remember_allocation(key, positions, matrix)
                 for i in slots:
                     swings[i] = matrix
                     outcomes[i] = outcome
@@ -828,7 +782,6 @@ class AllocationService:
                             retries=outcome.retries,
                             circuit_open=outcome.circuit_open,
                             deadline_exceeded=outcome.deadline_exceeded,
-                            warm_started=task.warm_start is not None,
                             reduce=task.reduce,
                         )
                         # A shared group solve re-attaches into every

@@ -61,7 +61,6 @@ class ScenarioBenchReport:
     channel_hit_rate: float
     allocation_hit_rate: float
     incremental_updates: int
-    warm_starts: int
     degraded: int
     health_status: str
     workload_digest: str
@@ -79,7 +78,6 @@ class ScenarioBenchReport:
             f"channel hit rate    {self.channel_hit_rate:.2f}",
             f"allocation hit rate {self.allocation_hit_rate:.2f}",
             f"incremental updates {self.incremental_updates}",
-            f"warm starts         {self.warm_starts}",
             f"degraded results    {self.degraded}",
             f"health              {self.health_status}",
             f"workload digest     {self.workload_digest}",
@@ -110,7 +108,6 @@ class ScenarioBenchReport:
             "channel_hit_rate": self.channel_hit_rate,
             "allocation_hit_rate": self.allocation_hit_rate,
             "incremental_updates": self.incremental_updates,
-            "warm_starts": self.warm_starts,
             "degraded": self.degraded,
             "health_status": self.health_status,
             "workload_digest": self.workload_digest,
@@ -184,9 +181,6 @@ def run_scenario_benchmark(
         allocation_hit_rate=service.allocation_hit_rate,
         incremental_updates=int(
             service.metrics.counter("service.channel_incremental").value
-        ),
-        warm_starts=int(
-            service.metrics.counter("service.warm_starts").value
         ),
         degraded=degraded,
         health_status=health["status"],

@@ -28,6 +28,7 @@ from repro.cluster import (
     knee_sweep,
     run_cluster_benchmark,
 )
+from repro.errors import DeadlineExceeded
 from repro.experiments.scenarios import fig6_instances
 from repro.runtime import (
     AllocationRequest,
@@ -691,3 +692,27 @@ class TestDispatchErrorAccounting:
 
         errors = run_frontend(controller, FrontendOptions(), submit_one)
         assert errors == 1
+
+    def test_deadline_exceeded_in_shard_is_shed_as_expired(
+        self, scene, placements
+    ):
+        # A raw DeadlineExceeded out of a shard used to reach submitters
+        # as-is; it is a shed request, counted under reason "expired".
+        controller = ClusterController(scene, options=small_options(shards=2))
+        request = make_request(placements, 3)
+
+        def expire(requests, trace_parents=None):
+            raise DeadlineExceeded("every fallback failed within the deadline")
+
+        for shard in controller.shards():
+            shard.service.handle_batch = expire  # type: ignore[method-assign]
+
+        async def submit_one(frontend):
+            with pytest.raises(RequestShedError, match="expired while serving"):
+                await frontend.submit(request)
+            return (
+                frontend.metrics.counter("cluster.shed", reason="expired").value,
+                frontend.metrics.counter("cluster.dispatch_errors").value,
+            )
+
+        assert run_frontend(controller, FrontendOptions(), submit_one) == (1, 0)

@@ -9,6 +9,7 @@ through ``AllocationService.handle_batch`` live in
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from repro.runtime import (
     SolveTask,
     channel_matrix_stack,
     degradation_fallbacks,
+    solve_task,
 )
 from repro.system import simulation_scene
 
@@ -418,6 +420,24 @@ class TestPoolResilience:
         assert outcome.degraded
         assert outcome.deadline_exceeded
         assert outcome.solver == "heuristic"
+
+    def test_expired_heuristic_runs_the_floor_as_last_resort(self, small_tasks):
+        # The heuristic has no cheaper fallback; an expired deadline
+        # used to raise DeadlineExceeded out of the whole batch.
+        task = SolveTask(
+            channel=small_tasks[0].channel,
+            power_budget=1.2,
+            solver="heuristic",
+            deadline=time.monotonic() - 1.0,
+        )
+        policy = ResiliencePolicy(ResilienceOptions(), MetricsRegistry())
+        pool = SolverPool(PoolOptions(max_workers=0), resilience=policy)
+        outcome = pool.solve_outcomes([task])[0]
+        assert outcome.deadline_exceeded
+        assert outcome.solver == "heuristic"
+        np.testing.assert_array_equal(
+            outcome.swings, solve_task(replace(task, deadline=None))
+        )
 
     def test_degradation_disabled_raises(self, small_tasks):
         task = SolveTask(

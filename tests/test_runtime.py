@@ -29,6 +29,7 @@ from repro.runtime import (
     solve_task,
     throughput_stack,
 )
+from repro.runtime.service import PlacementMemory
 from repro.system import simulation_scene
 
 
@@ -579,110 +580,83 @@ class TestAllocationService:
 
 
 # ----------------------------------------------------------------------
-# warm-start neighborhood edge cases
+# incremental-channel neighbor lookup
 # ----------------------------------------------------------------------
 
 
-class TestWarmStartNeighborhood:
-    """_warm_start_for boundary behavior, driven via _remember_allocation."""
+def _reference_neighbor(entries, key, positions, cached):
+    """Brute-force scan: fewest moved receivers, most recent among ties.
 
-    def _positions(self, *points):
-        return np.array(points, dtype=float)
+    *entries* is the remembered ``(key, positions)`` list, oldest first.
+    """
+    best = None
+    for other_key, other in reversed(entries):
+        if other_key == key or other_key not in cached:
+            continue
+        moved = np.flatnonzero(np.any(other != positions, axis=1))
+        if 0 < moved.size < len(positions) and (
+            best is None or moved.size < best[1].size
+        ):
+            best = (other_key, moved)
+    return best
 
-    def _seed(self, service, tag, positions, swings, solver="optimal"):
-        service._remember_allocation(
-            (tag, 1.2, solver, None), positions, swings
-        )
 
-    def test_exactly_at_radius_qualifies(self, base_scene):
-        service = AllocationService(
-            base_scene, options=ServiceOptions(warm_start_radius=1.5)
-        )
-        query = self._positions((1.0, 1.0), (2.0, 2.0))
-        swings = np.full(4, 0.25)
-        # every receiver displaced by exactly the radius
-        self._seed(service, "edge", query + np.array([1.5, 0.0]), swings)
-        found = service._warm_start_for("optimal", query)
-        np.testing.assert_array_equal(found, swings)
+class TestPlacementMemory:
+    def test_remember_refreshes_recency_but_keeps_positions(self):
+        memory = PlacementMemory(capacity=2, num_receivers=2)
+        first = np.array([[1.0, 1.0], [2.0, 2.0]])
+        memory.remember("a", first)
+        memory.remember("b", first + [[0.0, 0.0], [0.5, 0.0]])
+        memory.remember("a", first + 0.25)  # refreshes recency only
+        memory.remember("c", first + [[0.5, 0.0], [0.0, 0.0]])  # evicts b
+        query = first + [[0.0, 0.0], [0.1, 0.0]]
+        found = [(k, moved.tolist()) for k, moved in memory.neighbors("q", query)]
+        # c moved both receivers, so only a (at its first positions) qualifies.
+        assert found == [("a", [1])]
 
-    def test_beyond_radius_does_not_qualify(self, base_scene):
-        service = AllocationService(
-            base_scene, options=ServiceOptions(warm_start_radius=1.5)
-        )
-        query = self._positions((1.0, 1.0), (2.0, 2.0))
-        self._seed(
-            service, "far", query + np.array([1.5 + 1e-6, 0.0]), np.ones(4)
-        )
-        assert service._warm_start_for("optimal", query) is None
+    def test_receiver_count_mismatch_finds_nothing(self):
+        memory = PlacementMemory(capacity=4, num_receivers=2)
+        memory.remember("a", np.array([[1.0, 1.0], [2.0, 2.0]]))
+        assert list(memory.neighbors("q", np.array([[1.0, 1.0]]))) == []
 
-    def test_zero_radius_requires_exact_positions(self, base_scene):
-        service = AllocationService(
-            base_scene, options=ServiceOptions(warm_start_radius=0.0)
-        )
-        query = self._positions((1.0, 1.0), (2.0, 2.0))
-        exact = np.full(4, 0.5)
-        self._seed(service, "exact", query.copy(), exact)
-        self._seed(service, "near", query + 1e-9, np.ones(4))
-        np.testing.assert_array_equal(
-            service._warm_start_for("optimal", query), exact
-        )
-
-    def test_receiver_count_mismatch_never_qualifies(self, base_scene):
-        # Pre-fix, a remembered placement with a different receiver
-        # count could broadcast through the distance computation and
-        # seed a wrong-shaped warm start into the solver.
-        service = AllocationService(base_scene)
-        query = self._positions((1.0, 1.0), (2.0, 2.0), (3.0, 1.5))
-        self._seed(service, "one", self._positions((1.0, 1.0)), np.ones(4))
-        assert service._warm_start_for("optimal", query) is None
-
-    def test_solver_mismatch_never_qualifies(self, base_scene):
-        service = AllocationService(base_scene)
-        query = self._positions((1.0, 1.0), (2.0, 2.0))
-        self._seed(service, "h", query.copy(), np.ones(4), solver="swing")
-        assert service._warm_start_for("optimal", query) is None
-        np.testing.assert_array_equal(
-            service._warm_start_for("swing", query), np.ones(4)
-        )
-
-    def test_property_nearest_within_radius(self, base_scene):
-        """Seeded sweep: the result always matches brute force.
-
-        The returned swings must belong to an entry at the minimal
-        worst-case receiver displacement, and None is returned exactly
-        when no same-shape entry lies within the radius.
-        """
-        radius = 0.8
-        service = AllocationService(
-            base_scene, options=ServiceOptions(warm_start_radius=radius)
-        )
-        rng = np.random.default_rng(17)
-        entries = []
-        for i in range(24):
-            positions = rng.uniform(0.0, 5.0, size=(3, 2))
-            swings = np.full(4, float(i))
-            entries.append((positions, swings))
-            self._seed(service, f"e{i}", positions, swings)
-        for _ in range(50):
-            query = rng.uniform(0.0, 5.0, size=(3, 2))
-            distances = [
-                float(np.max(np.linalg.norm(p - query, axis=1)))
-                for p, _ in entries
-            ]
-            found = service._warm_start_for("optimal", query)
-            within = [d for d in distances if d <= radius]
-            if not within:
-                assert found is None
-            else:
-                best = min(within)
-                candidates = [
-                    s
-                    for (p, s), d in zip(entries, distances)
-                    if d == pytest.approx(best, abs=0.0)
-                ]
-                assert any(
-                    np.array_equal(found, swings) for swings in candidates
+    def test_property_matches_brute_force_scan(self):
+        """Seeded sweep: the first cached neighbor equals a full scan."""
+        rng = np.random.default_rng(23)
+        grid = np.arange(4, dtype=float)
+        for trial in range(40):
+            capacity = int(rng.integers(1, 12))
+            num_rx = int(rng.integers(1, 5))
+            memory = PlacementMemory(capacity, num_rx)
+            entries = []
+            for step in range(int(rng.integers(0, 30))):
+                # Few distinct coordinates, so partial moves are common.
+                positions = rng.choice(grid, size=(num_rx, 2))
+                key = f"k{int(rng.integers(0, 10))}"
+                memory.remember(key, positions)
+                if any(k == key for k, _ in entries):
+                    index = next(i for i, (k, _) in enumerate(entries) if k == key)
+                    entries.append(entries.pop(index))
+                else:
+                    entries.append((key, positions))
+                    del entries[:-capacity]
+            cached = {k for k, _ in entries if rng.uniform() < 0.7}
+            for _ in range(5):
+                query = rng.choice(grid, size=(num_rx, 2))
+                key = f"k{int(rng.integers(0, 12))}"
+                expected = _reference_neighbor(entries, key, query, cached)
+                found = next(
+                    (
+                        (k, moved)
+                        for k, moved in memory.neighbors(key, query)
+                        if k in cached
+                    ),
+                    None,
                 )
+                if expected is None:
+                    assert found is None
+                else:
+                    assert found[0] == expected[0]
+                    assert found[1].tolist() == expected[1].tolist()
 
 
 # ----------------------------------------------------------------------

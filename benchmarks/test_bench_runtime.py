@@ -14,9 +14,9 @@ import time
 
 import numpy as np
 
-from repro.channel import node_gain
+from repro.channel import channel_matrix_stack, node_gain
 from repro.experiments.scenarios import fig6_instances
-from repro.runtime import Tracer, channel_matrix_stack, run_benchmark
+from repro.runtime import Tracer, run_benchmark
 from repro.system import simulation_scene
 
 PLACEMENTS = 64

@@ -17,6 +17,7 @@ Run:  python examples/batched_sweep.py
 
 import numpy as np
 
+from repro.channel import channel_matrix_stack, throughput_stack
 from repro.core import AllocationProblem, RankingHeuristic
 from repro.experiments.scenarios import fig6_instances
 from repro.runtime import (
@@ -24,8 +25,6 @@ from repro.runtime import (
     AllocationService,
     Tracer,
     TracingOptions,
-    channel_matrix_stack,
-    throughput_stack,
 )
 from repro.system import simulation_scene
 

@@ -123,11 +123,6 @@ class LockOrderMonitor:
         self._blocking: List[BlockingViolation] = []
         self._acquisitions = 0
         self._patched_sleep: Optional[Callable[[float], None]] = None
-        #: Lock names documented as held across slow work (e.g. the
-        #: cache's per-key single-flight construction locks).  They
-        #: still participate in cycle detection, but holding only these
-        #: does not turn a blocking call into a violation.
-        self._expected_slow: set = set()
 
     # -- instrumentation hooks (called from InstrumentedLock) ----------
 
@@ -161,18 +156,8 @@ class LockOrderMonitor:
 
     # -- public API ----------------------------------------------------
 
-    def wrap(self, name: str, expected_slow: bool = False) -> InstrumentedLock:
-        """A new instrumented lock reporting to this monitor.
-
-        ``expected_slow`` marks a lock whose *purpose* is to be held
-        across expensive work -- a single-flight construction lock that
-        same-key waiters block on.  Such locks keep their ordering
-        edges (deadlock cycles through them are still real) but are
-        exempt from blocking-call detection.
-        """
-        if expected_slow:
-            with self._lock:
-                self._expected_slow.add(name)
+    def wrap(self, name: str) -> InstrumentedLock:
+        """A new instrumented lock reporting to this monitor."""
         return InstrumentedLock(name, self)
 
     def held_locks(self) -> Tuple[str, ...]:
@@ -190,8 +175,6 @@ class LockOrderMonitor:
         if not held:
             return False
         with self._lock:
-            if all(name in self._expected_slow for name in held):
-                return False
             self._blocking.append(
                 BlockingViolation(
                     description, held, threading.current_thread().name
@@ -380,22 +363,18 @@ class lock_order_monitor:
         _MONITOR = self._previous
 
 
-def monitored_lock(
-    name: str, expected_slow: bool = False
-) -> "threading.Lock | InstrumentedLock":
+def monitored_lock(name: str) -> "threading.Lock | InstrumentedLock":
     """A lock for runtime hot paths: plain when unmonitored.
 
     With no monitor active this *is* ``threading.Lock()`` -- zero
     per-acquisition overhead and bit-identical behavior, mirroring how
     disabled tracing stays off the hot path.  Under an active monitor
-    the returned lock reports its acquisition edges; ``expected_slow``
-    exempts it from blocking-call detection (see
-    :meth:`LockOrderMonitor.wrap`).
+    the returned lock reports its acquisition edges.
     """
     monitor = _MONITOR
     if monitor is None:
         return threading.Lock()
-    return monitor.wrap(name, expected_slow=expected_slow)
+    return monitor.wrap(name)
 
 
 if os.environ.get("REPRO_LOCK_MONITOR", "") == "1":  # pragma: no cover

@@ -19,7 +19,7 @@ from .estimation import (
 )
 from .los import (
     channel_matrix,
-    channel_matrix_for_positions,
+    channel_matrix_stack,
     channel_matrix_update,
     los_gain,
     los_gain_stack,
@@ -63,7 +63,7 @@ __all__ = [
     "path_loss_from_measurement",
     "received_swing_estimate",
     "channel_matrix",
-    "channel_matrix_for_positions",
+    "channel_matrix_stack",
     "channel_matrix_update",
     "los_gain",
     "los_gain_stack",

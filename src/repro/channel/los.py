@@ -7,7 +7,9 @@ The LOS DC gain from one LED to one photodiode is
 for incidence angles ``psi`` inside the receiver's FOV and zero otherwise,
 where ``phi`` is the irradiation angle at the LED and ``d`` the TX-RX
 distance.  :func:`channel_matrix` evaluates the full N x M gain matrix for
-a :class:`~repro.system.Scene`.
+a :class:`~repro.system.Scene`; :func:`channel_matrix_stack` evaluates it
+for a stack of receiver placements and :func:`channel_matrix_update`
+recomputes only the moved receivers' columns.
 """
 
 from __future__ import annotations
@@ -179,32 +181,41 @@ def channel_matrix(scene: Scene) -> np.ndarray:
     return los_gain_stack(tx_pos, tx_ori, orders, rx_pos, rx_ori, photodiodes)
 
 
-def channel_matrix_for_positions(
-    scene: Scene, rx_positions_xy: "np.ndarray | list"
+def channel_matrix_stack(
+    scene: Scene, placements_xy: "np.ndarray | list"
 ) -> np.ndarray:
-    """Channel matrix with receivers moved to the given XY positions.
+    """(B, N, M) LOS gain matrices for B receiver placements.
 
-    Convenience for sweep workloads (Fig. 6 random instances): reuses the
-    scene's TX grid and receiver hardware, only the positions change.
-    Receiver heights, orientations and photodiodes are preserved; no
-    intermediate :class:`~repro.system.Scene` is built.
+    *placements_xy* has shape (B, M, 2); each placement moves the
+    scene's M receivers to new XY positions (heights, orientations and
+    photodiode models are taken from the scene, and no intermediate
+    :class:`~repro.system.Scene` is built).  The full stack is one NumPy
+    broadcast over all B * N * M links; a single placement is
+    ``channel_matrix_stack(scene, xy[None])[0]``.
     """
-    xy = np.asarray(rx_positions_xy, dtype=float)
-    if xy.ndim != 2 or xy.shape[1] != 2:
+    placements = np.asarray(placements_xy, dtype=float)
+    if placements.ndim != 3 or placements.shape[2] != 2:
         raise ChannelError(
-            f"expected an (M, 2) array of XY positions, got shape {xy.shape}"
+            f"expected a (B, M, 2) placement array, got shape {placements.shape}"
         )
-    if xy.shape[0] != scene.num_receivers:
+    if placements.shape[1] != scene.num_receivers:
         raise GeometryError(
-            f"expected {scene.num_receivers} positions, got {xy.shape[0]}"
+            f"expected {scene.num_receivers} receivers per placement, "
+            f"got {placements.shape[1]}"
         )
-    for x, y in xy:
-        if not scene.room.contains_xy(float(x), float(y)):
-            raise GeometryError(
-                f"RX position ({x}, {y}) lies outside the room footprint"
-            )
+    if not (
+        np.all(placements[..., 0] >= 0.0)
+        and np.all(placements[..., 0] <= scene.room.width)
+        and np.all(placements[..., 1] >= 0.0)
+        and np.all(placements[..., 1] <= scene.room.depth)
+    ):
+        raise GeometryError("placement outside the room footprint")
     base_pos, rx_ori, photodiodes = _scene_rx_arrays(scene)
-    rx_pos = np.concatenate([xy, base_pos[:, 2:3]], axis=1)
+    heights = base_pos[:, 2]
+    rx_pos = np.concatenate(
+        [placements, np.broadcast_to(heights[:, None], placements.shape[:2] + (1,))],
+        axis=2,
+    )
     tx_pos, tx_ori, orders = _scene_tx_arrays(scene)
     return los_gain_stack(tx_pos, tx_ori, orders, rx_pos, rx_ori, photodiodes)
 

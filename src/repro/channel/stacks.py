@@ -17,9 +17,10 @@ home for both views:
   decomposition every incremental solver maintains.
 
 It lives in the channel layer (not :mod:`repro.runtime`) so that
-:mod:`repro.core` solvers may evaluate candidates through the exact
-same stacks the serving runtime uses; :mod:`repro.runtime.batch`
-re-exports everything for its existing callers.
+:mod:`repro.core` solvers evaluate candidates through the exact same
+stacks the serving runtime uses.  The matching channel-side stack,
+:func:`repro.channel.channel_matrix_stack`, lives in
+:mod:`repro.channel.los`.
 """
 
 from __future__ import annotations

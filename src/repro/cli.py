@@ -19,6 +19,7 @@ import os
 import sys
 from typing import Callable, Dict, List, Optional
 
+from .constants import SOLVER_NAMES
 from .errors import ConfigurationError
 
 
@@ -216,7 +217,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench_parser.add_argument(
         "--solver",
         default="heuristic",
-        choices=("binary", "greedy", "heuristic", "optimal", "swing"),
+        choices=SOLVER_NAMES,
         help="allocation solver",
     )
     bench_parser.add_argument(
@@ -335,7 +336,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     cluster_parser.add_argument(
         "--solver",
         default="heuristic",
-        choices=("binary", "greedy", "heuristic", "optimal", "swing"),
+        choices=SOLVER_NAMES,
         help="allocation solver",
     )
     cluster_parser.add_argument(
@@ -413,7 +414,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     metrics_parser.add_argument(
         "--solver",
         default="heuristic",
-        choices=("binary", "greedy", "heuristic", "optimal", "swing"),
+        choices=SOLVER_NAMES,
     )
     metrics_parser.add_argument("--workers", type=int, default=0)
     metrics_parser.add_argument("--seed", type=int, default=0)

@@ -155,3 +155,12 @@ DEFAULT_KAPPA: float = 1.3
 
 #: The kappa values evaluated in Fig. 11.
 PAPER_KAPPAS: tuple = (1.0, 1.2, 1.3, 1.5)
+
+# ---------------------------------------------------------------------------
+# Serving runtime
+# ---------------------------------------------------------------------------
+
+#: Solver names the allocation service accepts, sorted; the keys of
+#: ``repro.runtime.pool.SOLVERS``.  Kept here so the CLI can offer them
+#: without importing the runtime.
+SOLVER_NAMES: tuple[str, ...] = ("greedy", "heuristic", "optimal", "swing")

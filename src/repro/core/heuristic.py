@@ -17,6 +17,7 @@ the optimal system throughput while being ~2500x faster.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -39,8 +40,8 @@ def sjr_matrix(channel: np.ndarray, kappa: float = constants.DEFAULT_KAPPA) -> n
         raise AllocationError(f"channel must be 2-D, got shape {matrix.shape}")
     if np.any(matrix < 0):
         raise AllocationError("channel gains must be non-negative")
-    if kappa <= 0:
-        raise AllocationError(f"kappa must be positive, got {kappa}")
+    if not math.isfinite(kappa) or kappa <= 0:
+        raise AllocationError(f"kappa must be positive and finite, got {kappa}")
     row_sums = matrix.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         sjr = np.where(row_sums > 0.0, matrix**kappa / row_sums, 0.0)
@@ -179,8 +180,8 @@ def personalized_kappa_ranking(
     row_sums = matrix.sum(axis=1, keepdims=True)
     sjr = np.zeros_like(matrix)
     for j, kappa in enumerate(kappas):
-        if kappa <= 0:
-            raise AllocationError(f"kappa must be positive, got {kappa}")
+        if not math.isfinite(kappa) or kappa <= 0:
+            raise AllocationError(f"kappa must be positive and finite, got {kappa}")
         with np.errstate(divide="ignore", invalid="ignore"):
             column = np.where(
                 row_sums[:, 0] > 0.0, matrix[:, j] ** kappa / row_sums[:, 0], 0.0

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..channel import channel_matrix
+from ..channel import channel_matrix, channel_matrix_stack
 from ..core import (
     AllocationProblem,
     ContinuousOptimizer,
@@ -22,7 +22,6 @@ from ..core import (
     RankingHeuristic,
 )
 from ..errors import ConfigurationError
-from ..runtime import channel_matrix_stack
 from .config import ExperimentConfig, default_config
 from .scenarios import fig6_instances, fig7_instance
 

@@ -2,10 +2,9 @@
 
 Turns the per-call experiment code into a high-throughput engine:
 
-- :mod:`repro.runtime.cache` -- bounded LRU caches keyed by quantized
-  scene fingerprints;
-- :mod:`repro.runtime.batch` -- one-broadcast channel/SINR evaluation
-  for stacks of placements and allocations;
+- :mod:`repro.runtime.cache` -- the bounded LRU cache behind the
+  channel and allocation caches, keyed by quantized placement
+  fingerprints;
 - :mod:`repro.runtime.pool` -- deterministic process-pool fan-out of
   allocation solves;
 - :mod:`repro.runtime.metrics` -- labeled counters/gauges/histograms
@@ -13,22 +12,20 @@ Turns the per-call experiment code into a high-throughput engine:
 - :mod:`repro.runtime.tracing` -- deterministic, sampling-aware request
   span trees with Chrome-trace/Perfetto and JSON-lines export;
 - :mod:`repro.runtime.resilience` -- deadlines, retry/backoff, the
-  circuit breaker and the solver degradation chain;
+  circuit breaker and the solver degradation chain
+  (``optimal -> swing -> greedy -> heuristic``);
 - :mod:`repro.runtime.faults` -- the seedable fault-injection harness
   driving the chaos tests;
 - :mod:`repro.runtime.service` -- the :class:`AllocationService`
   facade routing requests through cache -> batch -> pool, wired into
   the CLI as ``repro bench``.
+
+The one-broadcast channel and Eq.-12 stacks the service batches through
+(``channel_matrix_stack``, ``throughput_stack``, ...) live in
+:mod:`repro.channel`.
 """
 
-from .batch import (
-    channel_matrix_stack,
-    received_amplitude_stack,
-    sinr_stack,
-    system_throughput_stack,
-    throughput_stack,
-)
-from .cache import CacheStats, ChannelCache, LRUCache
+from .cache import CacheStats, LRUCache
 from .faults import FaultPlan
 from .metrics import (
     Counter,
@@ -73,13 +70,7 @@ from .tracing import (
 from ..tracecontext import Span, add_span_attributes, current_span
 
 __all__ = [
-    "channel_matrix_stack",
-    "received_amplitude_stack",
-    "sinr_stack",
-    "system_throughput_stack",
-    "throughput_stack",
     "CacheStats",
-    "ChannelCache",
     "LRUCache",
     "Counter",
     "Gauge",

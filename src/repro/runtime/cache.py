@@ -1,27 +1,24 @@
-"""Bounded LRU caches keyed by scene fingerprints.
+"""A bounded LRU cache keyed by placement fingerprints.
 
 The allocation-serving engine sees the same scenes over and over: a
 mobility trace revisits quantized positions, a sweep re-evaluates one
 placement under many budgets, and concurrent users cluster around the
-same few spots.  :class:`LRUCache` is the generic bounded store (with
-hit/miss/eviction accounting); :class:`ChannelCache` specializes it for
-LOS channel matrices keyed by :meth:`repro.system.Scene.fingerprint`.
+same few spots.  :class:`LRUCache` is the bounded store (with
+hit/miss/eviction accounting) behind the service's channel and
+allocation caches, both keyed by
+:func:`repro.runtime.service.placement_fingerprint`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Optional
+from typing import Any, Hashable
 
 import numpy as np
 
 from ..analysis.lockgraph import monitored_lock
 from ..errors import ConfigurationError
-from ..tracecontext import add_span_attributes
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..system import Scene
 
 _MISSING = object()
 
@@ -47,9 +44,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    #: Threads that blocked on another thread's in-flight computation
-    #: (single-flight coalescing) instead of running the factory.
-    single_flight_waits: int = 0
 
     @property
     def lookups(self) -> int:
@@ -66,7 +60,6 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "single_flight_waits": self.single_flight_waits,
             "hit_rate": self.hit_rate,
         }
 
@@ -75,7 +68,6 @@ class CacheStats:
             hits=self.hits,
             misses=self.misses,
             evictions=self.evictions,
-            single_flight_waits=self.single_flight_waits,
         )
 
 
@@ -89,15 +81,9 @@ class LRUCache:
         self.stats = CacheStats()
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = monitored_lock("cache.lru")
-        # Per-key construction locks for single-flight get_or_create.
-        self._inflight: Dict[Hashable, Any] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """The cached value (refreshing its recency) or *default*."""
@@ -132,59 +118,6 @@ class LRUCache:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
-    def _lookup(self, key: Hashable) -> Any:
-        """One locked hit-or-miss probe (returns ``_MISSING`` on a miss)."""
-        with self._lock:
-            value = self._entries.get(key, _MISSING)
-            if value is _MISSING:
-                self.stats.misses += 1
-            else:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-            return value
-
-    def get_or_create(self, key: Hashable, factory: Callable[[], Any]) -> Any:
-        """The cached value, computing and storing it on a miss.
-
-        Single-flight: concurrent misses on the same key run *factory*
-        exactly once -- the first thread computes under a per-key lock
-        while the others block on it, then re-probe the cache and count
-        a hit.  Without this, two threads missing concurrently would
-        both build the (expensive) value and both count a miss.
-        """
-        with self._lock:
-            value = self._entries.get(key, _MISSING)
-            if value is not _MISSING:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return value
-            flight = self._inflight.get(key)
-            if flight is None:
-                # expected_slow: this lock is *meant* to be held across
-                # the expensive factory call so same-key waiters
-                # coalesce; the race detector keeps its ordering edges
-                # but does not treat blocking under it as a violation.
-                flight = self._inflight[key] = monitored_lock(
-                    "cache.inflight", expected_slow=True
-                )
-        with flight:
-            value = self._lookup(key)
-            if value is not _MISSING:
-                # Another thread computed the value while we waited on
-                # its construction lock; surface the coalesced wait in
-                # the stats and on the active span (if any).
-                with self._lock:
-                    self.stats.single_flight_waits += 1
-                add_span_attributes(cache_single_flight_wait=True)
-                return value
-            try:
-                value = factory()
-                self.put(key, value)
-            finally:
-                with self._lock:
-                    self._inflight.pop(key, None)
-        return value
-
     def snapshot(self) -> dict:
         """Size, occupancy and hit/miss stats from one locked read.
 
@@ -204,44 +137,3 @@ class LRUCache:
         summary["capacity"] = self.capacity
         summary["occupancy"] = size / self.capacity
         return summary
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-
-class ChannelCache:
-    """LOS channel matrices keyed by quantized scene fingerprint.
-
-    Cached matrices are shared, not copied; callers must treat them as
-    read-only (``AllocationProblem`` already does).
-    """
-
-    def __init__(self, capacity: int = 256, quantum: Optional[float] = None) -> None:
-        from ..system import FINGERPRINT_QUANTUM
-
-        self.quantum = quantum if quantum is not None else FINGERPRINT_QUANTUM
-        self._cache = LRUCache(capacity)
-
-    @property
-    def stats(self) -> CacheStats:
-        return self._cache.stats
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def matrix_for(self, scene: "Scene") -> np.ndarray:
-        """The scene's channel matrix, computed at most once per fingerprint."""
-        from ..channel import channel_matrix
-
-        key = scene.fingerprint(self.quantum)
-        return self._cache.get_or_create(key, lambda: channel_matrix(scene))
-
-    def get(self, key: Hashable) -> Optional[np.ndarray]:
-        return self._cache.get(key)
-
-    def put(self, key: Hashable, matrix: np.ndarray) -> None:
-        self._cache.put(key, matrix)
-
-    def clear(self) -> None:
-        self._cache.clear()

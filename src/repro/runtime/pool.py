@@ -11,14 +11,12 @@ With a :class:`~repro.runtime.resilience.ResiliencePolicy` attached the
 pool additionally honors per-task deadlines, backs off between retries
 (deterministic jitter), routes whole batches to the in-process serial
 path while the circuit breaker is open, and falls down the solver
-degradation chain (``optimal -> swing -> binary -> greedy ->
-heuristic``) when a solve times out or fails to converge -- callers get
-the best cheaper allocation, flagged as degraded, instead of an
-exception.
+degradation chain (``optimal -> swing -> greedy -> heuristic``) when a
+solve times out or fails to converge -- callers get the best cheaper
+allocation, flagged as degraded, instead of an exception.
 
 Solvers are looked up by name in :data:`SOLVERS` (``"heuristic"``,
-``"greedy"``, ``"optimal"``, ``"swing"``, ``"binary"``) so tasks stay
-picklable.
+``"greedy"``, ``"optimal"``, ``"swing"``) so tasks stay picklable.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from ..core import (
     OptimizerOptions,
     RankingHeuristic,
     SwingSearchOptions,
-    binary_projection,
     solve_optimal,
     solve_swing,
 )
@@ -52,12 +49,7 @@ from ..errors import DeadlineExceeded, OptimizationError, RuntimeEngineError
 from ..optics import LEDModel, Photodiode, cree_xte_paper_power, s5971
 from .faults import FaultPlan
 from .metrics import MetricsRegistry
-from .resilience import (
-    DEGRADATION_CHAIN,
-    Deadline,
-    ResiliencePolicy,
-    degradation_fallbacks,
-)
+from .resilience import Deadline, ResiliencePolicy, degradation_fallbacks
 from .tracing import SpanRecorder, shift_payload
 
 
@@ -66,14 +58,9 @@ class SolveTask:
     """One allocation solve: a problem instance plus solver selection.
 
     Everything is a plain dataclass/ndarray so tasks cross process
-    boundaries without custom reducers.
-
-    ``warm_start`` is an optional (N, M) swing matrix that seeds SLSQP
-    for the ``optimal``/``binary`` solvers and the combinatorial
-    ``swing`` search (where its binary projection competes with the
-    ranked seed); the serving layer leaves it unset.  ``reduce``
-    enables the SJR-pruned reduced-variable program / candidate-pair
-    pruning (with automatic full-dimension fallback).
+    boundaries without custom reducers.  The ``optimal`` and ``swing``
+    solvers always run their SJR-pruned reduced programs (with automatic
+    full-dimension fallback) and start cold.
 
     ``deadline`` is an absolute :func:`time.monotonic` timestamp (the
     request's remaining budget, set by the service); it is enforced by
@@ -95,8 +82,6 @@ class SolveTask:
     led: LEDModel = field(default_factory=cree_xte_paper_power)
     photodiode: Photodiode = field(default_factory=s5971)
     noise: AWGNNoise = field(default_factory=AWGNNoise)
-    warm_start: Optional[np.ndarray] = None
-    reduce: bool = True
     deadline: Optional[float] = None
     faults: Optional[FaultPlan] = None
     fault_key: Hashable = 0
@@ -112,20 +97,10 @@ class SolveTask:
         )
 
     def optimizer_options(self) -> OptimizerOptions:
-        return OptimizerOptions(
-            restarts=0,
-            seed=self.seed,
-            reduce=self.reduce,
-            warm_start=self.warm_start,
-        )
+        return OptimizerOptions(restarts=0, seed=self.seed, reduce=True)
 
     def swing_options(self) -> SwingSearchOptions:
-        return SwingSearchOptions(
-            kappa=self.kappa,
-            seed=self.seed,
-            reduce=self.reduce,
-            warm_start=self.warm_start,
-        )
+        return SwingSearchOptions(kappa=self.kappa, seed=self.seed, reduce=True)
 
     def deadline_object(self) -> Deadline:
         return Deadline() if self.deadline is None else Deadline(self.deadline)
@@ -173,12 +148,6 @@ def _solve_optimal(task: SolveTask, metrics=None) -> Allocation:
     return solve_optimal(task.problem(), task.optimizer_options(), metrics=metrics)
 
 
-def _solve_binary(task: SolveTask, metrics=None) -> Allocation:
-    return binary_projection(
-        solve_optimal(task.problem(), task.optimizer_options(), metrics=metrics)
-    )
-
-
 def _solve_swing(task: SolveTask, metrics=None) -> Allocation:
     return solve_swing(task.problem(), task.swing_options(), metrics=metrics)
 
@@ -189,7 +158,6 @@ SOLVERS: Dict[str, Callable[..., Allocation]] = {
     "greedy": _solve_greedy,
     "optimal": _solve_optimal,
     "swing": _solve_swing,
-    "binary": _solve_binary,
 }
 
 
@@ -234,10 +202,7 @@ def solve_task_traced(
     (:func:`repro.tracecontext.add_span_attributes`) into the payload.
     """
     recorder = SpanRecorder()
-    with recorder.span(
-        "solve", solver=task.solver, attempt=attempt, reduce=task.reduce,
-        warm_started=task.warm_start is not None,
-    ):
+    with recorder.span("solve", solver=task.solver, attempt=attempt):
         swings = solve_task(task, metrics=metrics, attempt=attempt)
     return swings, recorder.payload()
 
@@ -251,13 +216,13 @@ class PoolOptions:
             (the right choice on single-core hosts and for tiny batches).
         task_timeout: per-task wall-clock limit [s] before the bounded
             retry/degradation path kicks in.
-        min_parallel_tasks: batches smaller than this run serially (the
-            pool spawn cost would dominate).
+
+    A batch of one task always runs serially: the pool spawn cost would
+    dominate it.
     """
 
     max_workers: int = 0
     task_timeout: float = 120.0
-    min_parallel_tasks: int = 2
 
     def __post_init__(self) -> None:
         if self.max_workers < 0:
@@ -267,10 +232,6 @@ class PoolOptions:
         if self.task_timeout <= 0:
             raise RuntimeEngineError(
                 f"task timeout must be positive, got {self.task_timeout}"
-            )
-        if self.min_parallel_tasks < 1:
-            raise RuntimeEngineError(
-                f"min_parallel_tasks must be >= 1, got {self.min_parallel_tasks}"
             )
 
 
@@ -303,10 +264,7 @@ class SolverPool:
         self.metrics.counter("pool.tasks").increment(len(tasks))
         for task in tasks:
             self.metrics.counter("pool.solves", solver=task.solver).increment()
-        use_pool = (
-            self.options.max_workers > 1
-            and len(tasks) >= self.options.min_parallel_tasks
-        )
+        use_pool = self.options.max_workers > 1 and len(tasks) > 1
         short_circuited = False
         if (
             use_pool
@@ -411,13 +369,13 @@ class SolverPool:
             raise cause
         attempt = first_attempt
         deadline_hit = timed_out and deadline.expired
-        fallbacks = degradation_fallbacks(task.solver, timed_out=timed_out)
+        fallbacks = degradation_fallbacks(task.solver)
         if not fallbacks and timed_out:
             # Nothing is cheaper than the floor solver: it re-runs as its
             # own last resort, so an expired deadline still gets an answer.
-            fallbacks = (DEGRADATION_CHAIN[-1],)
+            fallbacks = (task.solver,)
         for position, fallback in enumerate(fallbacks):
-            degraded_task = replace(task, solver=fallback, warm_start=None)
+            degraded_task = replace(task, solver=fallback)
             last = position == len(fallbacks) - 1
             timeout = deadline.cap(self.options.task_timeout)
             if timeout is not None and timeout <= 0 and not last:

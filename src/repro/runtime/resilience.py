@@ -16,9 +16,9 @@ degrade explicitly":
 - :class:`CircuitBreaker` -- trips after repeated pool failures
   (``BrokenProcessPool`` / timeouts) and routes traffic to the
   in-process serial path until a probe succeeds;
-- the degradation chain -- ``optimal -> swing -> binary -> greedy ->
-  heuristic``: a timed-out or non-converged solve falls down the chain
-  and returns the best cheaper allocation instead of raising.
+- the degradation chain -- ``optimal -> swing -> greedy -> heuristic``:
+  a timed-out or non-converged solve falls down the chain and returns
+  the best cheaper allocation instead of raising.
 
 Everything reports through ``resilience.*`` counters/gauges in the
 metrics registry; :meth:`AllocationService.health` summarizes the
@@ -38,39 +38,23 @@ from .faults import hash_unit
 from .metrics import MetricsRegistry
 
 #: Solver fallback order: each entry degrades to the ones after it.
-DEGRADATION_CHAIN: Tuple[str, ...] = (
-    "optimal",
-    "swing",
-    "binary",
-    "greedy",
-    "heuristic",
-)
-
-#: Chain members whose solve runs SLSQP (pointless to retry on timeout).
-_SLSQP_SOLVERS = frozenset({"optimal", "binary"})
+DEGRADATION_CHAIN: Tuple[str, ...] = ("optimal", "swing", "greedy", "heuristic")
 
 
-def degradation_fallbacks(solver: str, timed_out: bool = False) -> Tuple[str, ...]:
-    """The solvers to fall back to, cheapest-compatible first.
+def degradation_fallbacks(solver: str) -> Tuple[str, ...]:
+    """The solvers to fall back to, in chain order.
 
     For a solver outside the chain there is nothing cheaper that is
-    known-compatible, so the only fallback is the heuristic.  When the
-    failure was a *timeout* the SLSQP-based chain members are skipped:
-    ``binary`` is a projection of the same SLSQP solve that just timed
-    out, so retrying it would burn the remaining budget for nothing.
-    The combinatorial ``swing`` search is not SLSQP-based and runs in
-    milliseconds, so it stays in the chain even after a timeout --
-    giving a timed-out ``optimal`` a near-optimal answer before the
-    heuristic floor.
+    known-compatible, so the only fallback is the heuristic.  Only
+    ``optimal`` runs SLSQP; every fallback after it is combinatorial
+    and runs in milliseconds, so a timed-out ``optimal`` still gets the
+    near-optimal ``swing`` answer before the heuristic floor.
     """
     try:
         position = DEGRADATION_CHAIN.index(solver)
     except ValueError:
         return ("heuristic",) if solver != "heuristic" else ()
-    fallbacks = DEGRADATION_CHAIN[position + 1 :]
-    if timed_out:
-        fallbacks = tuple(s for s in fallbacks if s not in _SLSQP_SOLVERS)
-    return fallbacks
+    return DEGRADATION_CHAIN[position + 1 :]
 
 
 # ----------------------------------------------------------------------

@@ -20,11 +20,15 @@ from typing import Any, Dict, Iterator, List, Optional, Protocol, Sequence, Tupl
 import numpy as np
 
 from .. import constants
-from ..channel import AWGNNoise, channel_matrix_update
+from ..channel import (
+    AWGNNoise,
+    channel_matrix_stack,
+    channel_matrix_update,
+    throughput_stack,
+)
 from ..errors import ChannelError, RuntimeEngineError
 from ..system import FINGERPRINT_QUANTUM, Scene, simulation_scene
 from ..tracecontext import Span
-from .batch import channel_matrix_stack, throughput_stack
 from .cache import LRUCache
 from .faults import FaultPlan
 from .metrics import DEFAULT_TIME_BUCKETS, MetricsRegistry
@@ -50,6 +54,11 @@ def placement_fingerprint(
         for x, y in positions
     )
     return f"{base}:{quantized}"
+
+
+#: Recently served placements remembered for incremental-channel
+#: neighbour lookups.
+NEIGHBORHOOD_MEMORY = 64
 
 
 class PlacementMemory:
@@ -156,9 +165,17 @@ class AllocationRequest:
         object.__setattr__(self, "rx_positions_xy", positions)
         if not positions:
             raise RuntimeEngineError("a request needs at least one receiver")
-        if self.power_budget < 0:
+        if not all(math.isfinite(c) for xy in positions for c in xy):
             raise RuntimeEngineError(
-                f"power budget must be >= 0, got {self.power_budget}"
+                f"receiver positions must be finite, got {positions}"
+            )
+        if not math.isfinite(self.power_budget) or self.power_budget < 0:
+            raise RuntimeEngineError(
+                f"power budget must be finite and >= 0, got {self.power_budget}"
+            )
+        if not math.isfinite(self.kappa) or self.kappa <= 0:
+            raise RuntimeEngineError(
+                f"kappa must be positive and finite, got {self.kappa}"
             )
         if self.solver not in SOLVERS:
             raise RuntimeEngineError(
@@ -216,13 +233,10 @@ class ServiceOptions:
     """Knobs for :class:`AllocationService`.
 
     Attributes:
-        channel_cache_capacity / allocation_cache_capacity / quantum /
-            pool: as in PR 1.
-        neighborhood_memory: recently served placements remembered for
-            incremental-channel neighbor lookups.
-        incremental_channel: when a cache-missing placement differs from
-            a remembered one in only some receivers, recompute just those
-            columns of the channel matrix instead of the full rebuild.
+        channel_cache_capacity / allocation_cache_capacity: LRU bounds
+            of the channel and allocation caches.
+        quantum: placement fingerprint grid [m].
+        pool: solver pool knobs (:class:`PoolOptions`).
         resilience: fault-tolerance knobs (retry/backoff, circuit
             breaker, degradation chain, default deadline); see
             :class:`repro.runtime.resilience.ResilienceOptions`.
@@ -235,8 +249,6 @@ class ServiceOptions:
     allocation_cache_capacity: int = 1024
     quantum: float = FINGERPRINT_QUANTUM
     pool: PoolOptions = field(default_factory=PoolOptions)
-    neighborhood_memory: int = 64
-    incremental_channel: bool = True
     resilience: ResilienceOptions = field(default_factory=ResilienceOptions)
     faults: Optional[FaultPlan] = None
 
@@ -244,11 +256,6 @@ class ServiceOptions:
         if self.quantum <= 0:
             raise RuntimeEngineError(
                 f"quantum must be positive, got {self.quantum}"
-            )
-        if self.neighborhood_memory < 1:
-            raise RuntimeEngineError(
-                f"neighborhood memory must be >= 1, got "
-                f"{self.neighborhood_memory}"
             )
 
 
@@ -298,7 +305,7 @@ class AllocationService:
         self._slo: Optional[SLOObserver] = None
         # Recently served placements, for incremental-channel neighbors.
         self._placement_memory = PlacementMemory(
-            self.options.neighborhood_memory, scene.num_receivers
+            NEIGHBORHOOD_MEMORY, scene.num_receivers
         )
 
     # ------------------------------------------------------------------
@@ -618,11 +625,7 @@ class AllocationService:
                 positions = np.array(
                     requests[slots[0]].rx_positions_xy, dtype=float
                 )
-                matrix = (
-                    self._incremental_channel(key, positions)
-                    if self.options.incremental_channel
-                    else None
-                )
+                matrix = self._incremental_channel(key, positions)
                 if matrix is None:
                     batched[key] = slots
                     continue
@@ -762,9 +765,7 @@ class AllocationService:
                 )
             with self.metrics.timer("service.solve_seconds"):
                 solved = self._pool.solve_outcomes(tasks)
-            for outcome, task, (key, slots) in zip(
-                solved, tasks, miss_slots.items()
-            ):
+            for outcome, (key, slots) in zip(solved, miss_slots.items()):
                 matrix = outcome.swings
                 if not outcome.degraded:
                     # Degraded results stay out of the caches: a later
@@ -782,7 +783,6 @@ class AllocationService:
                             retries=outcome.retries,
                             circuit_open=outcome.circuit_open,
                             deadline_exceeded=outcome.deadline_exceeded,
-                            reduce=task.reduce,
                         )
                         # A shared group solve re-attaches into every
                         # participating request's trace.

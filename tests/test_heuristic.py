@@ -46,6 +46,12 @@ class TestSJRMatrix:
         with pytest.raises(AllocationError):
             sjr_matrix(np.ones(4))
 
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_kappa_rejected(self, kappa):
+        # ``kappa <= 0`` alone is False for NaN.
+        with pytest.raises(AllocationError):
+            sjr_matrix(np.ones((2, 2)), kappa=kappa)
+
 
 class TestRanking:
     def test_each_tx_once(self, fig7_channel):
@@ -152,6 +158,8 @@ class TestPersonalizedKappa:
     def test_bad_kappa_raises(self, fig7_channel):
         with pytest.raises(AllocationError):
             personalized_kappa_ranking(fig7_channel, [1.3, 1.3, -1.0, 1.3])
+        with pytest.raises(AllocationError):
+            personalized_kappa_ranking(fig7_channel, [1.3, float("nan"), 1.3, 1.3])
 
 
 class TestVectorizedRanking:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.channel import (
     channel_matrix,
-    channel_matrix_for_positions,
+    channel_matrix_stack,
     los_gain,
     node_gain,
     vertical_los_gain,
@@ -106,9 +106,8 @@ class TestChannelMatrix:
         assert node_gain(tx, rx) == pytest.approx(fig7_channel[7, 0])
 
     def test_moved_receivers(self, fig7_scene):
-        moved = channel_matrix_for_positions(
-            fig7_scene, [(0.25, 0.25), (2.75, 2.75), (1.5, 1.5), (0.75, 2.25)]
-        )
+        xy = np.array([(0.25, 0.25), (2.75, 2.75), (1.5, 1.5), (0.75, 2.25)])
+        moved = channel_matrix_stack(fig7_scene, xy[None])[0]
         # RX1 placed exactly under TX1 now has TX1 as its best channel.
         assert int(np.argmax(moved[:, 0])) == 0
 
@@ -137,9 +136,22 @@ class TestChannelMatrix:
 
     def test_positions_path_matches_moved_scene(self, fig7_scene):
         xy = [(0.4, 0.6), (2.6, 2.4), (1.2, 1.8), (0.9, 2.1)]
-        direct = channel_matrix_for_positions(fig7_scene, xy)
+        direct = channel_matrix_stack(fig7_scene, np.array(xy)[None])[0]
         rebuilt = channel_matrix(fig7_scene.with_receivers_at(xy))
         np.testing.assert_allclose(direct, rebuilt, rtol=1e-12, atol=0)
+
+    def test_stack_rows_match_single_placement_calls(self, fig7_scene):
+        placements = np.array(
+            [
+                [(0.4, 0.6), (2.6, 2.4), (1.2, 1.8), (0.9, 2.1)],
+                [(0.25, 0.25), (2.75, 2.75), (1.5, 1.5), (0.75, 2.25)],
+                [(3.0, 0.0), (0.0, 3.0), (1.0, 1.0), (2.0, 2.0)],
+            ]
+        )
+        stack = channel_matrix_stack(fig7_scene, placements)
+        for b, placement in enumerate(placements):
+            single = channel_matrix_stack(fig7_scene, placement[None])[0]
+            np.testing.assert_allclose(stack[b], single, rtol=1e-12, atol=0)
 
     def test_vertical_helper_validation(self, led, photodiode):
         with pytest.raises(ChannelError):

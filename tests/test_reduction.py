@@ -347,16 +347,23 @@ class TestServiceAcceleration:
 
     def test_incremental_matches_batched_channel(self):
         warm = self._service()
-        cold = self._service(incremental_channel=False)
         requests = [
             AllocationRequest(((1.0, 1.0), (2.0, 2.0)), power_budget=0.5),
             AllocationRequest(((1.3, 1.0), (2.0, 2.0)), power_budget=0.5),
             AllocationRequest(((1.3, 1.0), (2.0, 2.4)), power_budget=0.5),
         ]
-        for a, b in zip(
-            [warm.handle(r) for r in requests],
-            [cold.handle(r) for r in requests],
-        ):
+        incremental = [warm.handle(r) for r in requests]
+        assert warm.metrics_snapshot()["counters"]["service.channel_incremental"] == 2
+        # A fresh service remembers no placement, so each reference
+        # request takes the batched broadcast path.
+        batched = []
+        for request in requests:
+            cold = self._service()
+            batched.append(cold.handle(request))
+            assert "service.channel_incremental" not in (
+                cold.metrics_snapshot()["counters"]
+            )
+        for a, b in zip(incremental, batched):
             assert np.array_equal(a.swings, b.swings)
             assert np.allclose(
                 a.per_rx_throughput, b.per_rx_throughput, rtol=0, atol=1e-9

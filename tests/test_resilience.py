@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.channel import channel_matrix_stack
 from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
@@ -33,7 +34,6 @@ from repro.runtime import (
     RetryPolicy,
     SolverPool,
     SolveTask,
-    channel_matrix_stack,
     degradation_fallbacks,
     solve_task,
 )
@@ -243,39 +243,13 @@ class TestCircuitBreaker:
 
 class TestDegradationChain:
     def test_chain_order(self):
-        assert DEGRADATION_CHAIN == (
-            "optimal",
-            "swing",
-            "binary",
-            "greedy",
-            "heuristic",
-        )
+        assert DEGRADATION_CHAIN == ("optimal", "swing", "greedy", "heuristic")
 
     def test_fallbacks_walk_down(self):
-        assert degradation_fallbacks("optimal") == (
-            "swing",
-            "binary",
-            "greedy",
-            "heuristic",
-        )
-        assert degradation_fallbacks("swing") == ("binary", "greedy", "heuristic")
+        assert degradation_fallbacks("optimal") == ("swing", "greedy", "heuristic")
+        assert degradation_fallbacks("swing") == ("greedy", "heuristic")
         assert degradation_fallbacks("greedy") == ("heuristic",)
         assert degradation_fallbacks("heuristic") == ()
-
-    def test_timeout_skips_slsqp(self):
-        # binary is a projection of the SLSQP solve that just timed out;
-        # re-running it would burn the remaining budget for nothing.
-        # The combinatorial swing search is not SLSQP-based, so a
-        # timed-out optimal still gets a near-optimal answer first.
-        assert degradation_fallbacks("optimal", timed_out=True) == (
-            "swing",
-            "greedy",
-            "heuristic",
-        )
-        assert degradation_fallbacks("swing", timed_out=True) == (
-            "greedy",
-            "heuristic",
-        )
 
     def test_unknown_solver_falls_to_heuristic(self):
         assert degradation_fallbacks("custom") == ("heuristic",)

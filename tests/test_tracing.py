@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.channel import channel_matrix_stack
 from repro.errors import ConfigurationError
 from repro.experiments.scenarios import fig6_instances
 from repro.runtime import (
@@ -27,7 +28,6 @@ from repro.runtime import (
     Tracer,
     TracingOptions,
     add_span_attributes,
-    channel_matrix_stack,
     current_span,
     run_benchmark,
 )

@@ -48,8 +48,8 @@ def sjr_matrix(channel: np.ndarray, kappa: float = constants.DEFAULT_KAPPA) -> n
     return sjr
 
 
-def _ranking_from_sjr(sjr: np.ndarray) -> List[Assignment]:
-    """Rank (tx, best rx) pairs by descending best-RX SJR, sort-based.
+def ranked_pairs(sjr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Algorithm 1's ranking as ``(tx, rx)`` index arrays, sort-based.
 
     Removing a TX's row never changes another row's SJR, so Algorithm 1's
     repeated masked argmax over the whole matrix is equivalent to taking
@@ -61,7 +61,7 @@ def _ranking_from_sjr(sjr: np.ndarray) -> List[Assignment]:
     best_rx = np.argmax(sjr, axis=1)  # first max -> lowest rx on ties
     best_val = sjr[np.arange(num_tx), best_rx]
     order = np.lexsort((np.arange(num_tx), -best_val))
-    return [(int(tx), int(best_rx[tx])) for tx in order]
+    return order, best_rx[order]
 
 
 def _rank_transmitters_loop(
@@ -94,7 +94,8 @@ def rank_transmitters(
     Ties (including all-zero rows) break toward the lower TX index, which
     keeps the ranking deterministic.
     """
-    return _ranking_from_sjr(sjr_matrix(channel, kappa))
+    tx, rx = ranked_pairs(sjr_matrix(channel, kappa))
+    return list(zip(tx.tolist(), rx.tolist()))
 
 
 @dataclass(frozen=True)
@@ -187,4 +188,5 @@ def personalized_kappa_ranking(
                 row_sums[:, 0] > 0.0, matrix[:, j] ** kappa / row_sums[:, 0], 0.0
             )
         sjr[:, j] = column
-    return _ranking_from_sjr(sjr)
+    tx, rx = ranked_pairs(sjr)
+    return list(zip(tx.tolist(), rx.tolist()))

@@ -7,15 +7,18 @@ do serve are the ones Algorithm 1 ranks highest.  LED-selection work
 LEDs are excluded, the nonlinear program shrinks from N*M variables to
 roughly the number of transmitters the power budget can afford.
 
-:func:`plan_reduction` turns that insight into a variable-selection rule:
+:func:`reduction_pairs` turns that insight into a variable-selection rule:
 
 1. rank every TX with its intended RX by descending SJR (Algorithm 1);
 2. keep the ranked prefix that exhausts the power budget, plus a safety
    margin (``K`` adapts to the budget);
 3. guarantee coverage -- every receiver with a non-zero channel column
    keeps at least one candidate pair;
-4. expose the kept (TX, RX) pairs as a :class:`ReductionPlan` that maps
-   between the reduced ~K-variable vector and the full (N, M) matrix.
+4. return the kept (TX, RX) pairs as index arrays.
+
+:func:`plan_reduction` wraps those arrays in a :class:`ReductionPlan`
+that maps between the reduced ~K-variable vector and the full (N, M)
+matrix; the swing search fills its candidate mask from them directly.
 
 The optimizer solves the reduced program, expands the solution back to
 full shape, and falls back to the full-dimension solve whenever the
@@ -27,14 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .. import constants
 from ..errors import OptimizationError
 from .allocation import Assignment
-from .heuristic import rank_transmitters, sjr_matrix
+from .heuristic import ranked_pairs, sjr_matrix
 from .problem import AllocationProblem
 
 
@@ -122,13 +125,13 @@ class ReductionPlan:
         return full[self.tx_indices, self.rx_indices]
 
 
-def plan_reduction(
+def reduction_pairs(
     problem: AllocationProblem,
     kappa: float = constants.DEFAULT_KAPPA,
     margin: float = 0.5,
     min_extra: int = 2,
-) -> Optional[ReductionPlan]:
-    """The SJR-pruned variable set for *problem*, or None if not worth it.
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The SJR-pruned ``(tx, rx)`` index arrays for *problem*, or None.
 
     ``K = min(N, max(ceil(affordable * (1 + margin)), affordable +
     min_extra, M))`` transmitters survive: the ranked prefix the power
@@ -136,48 +139,49 @@ def plan_reduction(
     continuous optimum can trade swing between marginal candidates.
     Every receiver with a usable channel column keeps its best-SJR pair
     even when its TX ranks below the prefix, so pruning can never strand
-    a reachable receiver.
+    a reachable receiver.  The prefix pairs come first in rank order,
+    then the coverage pairs by RX index; one SJR matrix serves both.
 
     Returns ``None`` when the prefix covers (almost) every TX -- then the
     reduced program would be the full program and pruning is pure
-    overhead.
+    overhead.  Otherwise at most ``K + M - 1 < N * M`` pairs are kept.
     """
     if margin < 0:
         raise OptimizationError(f"margin must be >= 0, got {margin}")
     if min_extra < 0:
         raise OptimizationError(f"min_extra must be >= 0, got {min_extra}")
-    num_tx = problem.num_transmitters
-    num_rx = problem.num_receivers
     affordable = problem.max_affordable_transmitters
-    k = max(
-        int(math.ceil(affordable * (1.0 + margin))),
-        affordable + min_extra,
-        num_rx,
-    )
-    if k >= num_tx:
+    k = max(math.ceil(affordable * (1.0 + margin)), affordable + min_extra)
+    k = max(k, problem.num_receivers)
+    if k >= problem.num_transmitters:
         return None
-    ranked = rank_transmitters(problem.channel, kappa)
-    pairs = list(ranked[:k])
+    sjr = sjr_matrix(problem.channel, kappa)
+    ranked_tx, ranked_rx = ranked_pairs(sjr)
+    tx, rx = ranked_tx[:k], ranked_rx[:k]
 
     # Coverage guarantee: a reachable RX whose every candidate TX ranked
-    # below the prefix keeps its single best pair.
-    covered = {rx for _, rx in pairs}
-    sjr = sjr_matrix(problem.channel, kappa)
-    for rx in range(num_rx):
-        if rx in covered:
-            continue
-        column = problem.channel[:, rx]
-        if not np.any(column > 0.0):
-            continue  # physically unreachable; no variable can help
-        pairs.append((int(np.argmax(sjr[:, rx])), rx))
-    if len(pairs) >= num_tx * num_rx:
+    # below the prefix keeps its single best pair.  An unreachable RX
+    # (all-zero column) gets none; no variable can help it.
+    uncovered = np.any(problem.channel > 0.0, axis=0)
+    uncovered[rx] = False
+    extra_rx = np.flatnonzero(uncovered)
+    if extra_rx.size:
+        tx = np.concatenate([tx, np.argmax(sjr[:, extra_rx], axis=0)])
+        rx = np.concatenate([rx, extra_rx])
+    return tx, rx
+
+
+def plan_reduction(
+    problem: AllocationProblem,
+    kappa: float = constants.DEFAULT_KAPPA,
+    margin: float = 0.5,
+    min_extra: int = 2,
+) -> Optional[ReductionPlan]:
+    """:func:`reduction_pairs` as a :class:`ReductionPlan`, or None."""
+    pairs = reduction_pairs(problem, kappa, margin, min_extra)
+    if pairs is None:
         return None
-    tx_idx = np.array([j for j, _ in pairs], dtype=int)
-    rx_idx = np.array([r for _, r in pairs], dtype=int)
+    tx, rx = pairs
     return ReductionPlan(
-        tx_indices=tx_idx,
-        rx_indices=rx_idx,
-        active_txs=np.unique(tx_idx),
-        num_transmitters=num_tx,
-        num_receivers=num_rx,
+        tx, rx, np.unique(tx), problem.num_transmitters, problem.num_receivers
     )

@@ -22,24 +22,28 @@ discrete space of *assignments* ``a[j] in {off, 0..M-1}``:
    ``floor(P_budget / full_swing_power)`` active TXs.
 3. **Incremental delta evaluation** -- the search maintains the per-RX
    signal/total amplitude components; a move only adds or subtracts one
-   TX's (scaled) channel row, so whole candidate stacks are evaluated
-   in one broadcast through the same Eq.-12 arithmetic the runtime's
-   vectorized stacks use
+   TX's (scaled) channel row, so each round fills one ``(C, M)``
+   signal/total stack pair and scores it in one broadcast through the
+   same Eq.-12 arithmetic the runtime's vectorized stacks use
    (:func:`repro.channel.stacks.utility_from_amplitude_components`).
+   Only the winner and exact ties are decoded into ``(kind, tx_out,
+   tx_in, rx)`` moves, from the flat index and the block offsets.
 4. **Repair** -- an over-budget state (an aggressive warm start, a
    budget shrink) is repaired by repeatedly switching off the active TX
    whose removal costs the least utility until the budget holds.
 
-The candidate space is pruned the same way the SLSQP tier is
-(:func:`~repro.core.reduction.plan_reduction`): only the SJR-ranked
-pairs the budget can plausibly afford are considered, with seed and
-warm-start pairs always kept so the search can never be walled off
-from its own starting point.  Ties between equally good moves break by
-blake2b digest of the move coordinates -- fully deterministic, never
-dependent on ``PYTHONHASHSEED`` or iteration order of a set.
+The candidate space is pruned by the SLSQP tier's selection rule
+(:func:`~repro.core.reduction.reduction_pairs`): only the SJR-ranked
+pairs the budget can plausibly afford are considered, a prefix that
+contains the seed's pairs, plus any warm-start pairs, so the search can
+never be walled off from its own starting point.  Ties between equally
+good moves break by blake2b digest of the move coordinates -- fully
+deterministic, never dependent on ``PYTHONHASHSEED`` or iteration order
+of a set.
 
 The result is flagged ``solver="swing-search"`` and is guaranteed never
-worse (in Eq. 5 utility) than the ranking-heuristic seed.
+worse (in Eq. 5 utility) than the ranking-heuristic seed; a result the
+search left at the seed is returned without re-scoring it.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from __future__ import annotations
 import hashlib
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, ContextManager, List, Optional, Tuple
+from typing import Any, ContextManager, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -58,13 +62,16 @@ from ..tracecontext import add_span_attributes, current_span
 from .allocation import Allocation, Assignment, binary_allocation
 from .heuristic import RankingHeuristic
 from .problem import UTILITY_FLOOR, AllocationProblem
-from .reduction import plan_reduction
+from .reduction import reduction_pairs
 
 #: Assignment value for a TX that only illuminates.
 OFF: int = -1
 
 #: Move-kind codes used in the blake2b tie-break digest.
 _MOVE_OFF, _MOVE_ON, _MOVE_REASSIGN, _MOVE_SWAP = 0, 1, 2, 3
+
+#: Candidate pairs of a repair round: only OFF moves are scored.
+_NO_PAIRS = (np.empty(0, dtype=int), np.empty(0, dtype=int))
 
 
 @dataclass(frozen=True)
@@ -79,11 +86,11 @@ class SwingSearchOptions:
             search itself is deterministic and RNG-free).
         utility_floor: throughput floor [bit/s] inside the log utility.
         reduce: prune the candidate (TX, RX) pairs to the SJR-ranked
-            prefix the budget can afford (:func:`plan_reduction`), as
+            prefix the budget can afford (:func:`reduction_pairs`), as
             the SLSQP tier does; seed and warm-start pairs are always
             kept.
         reduction_margin / reduction_min_extra: forwarded to
-            :func:`plan_reduction`.
+            :func:`reduction_pairs`.
         warm_start: optional (N, M) swing matrix [A]; its binary
             projection replaces the ranking seed when it scores better.
     """
@@ -128,18 +135,25 @@ class _SearchState:
     ``signal[i]`` / ``total[i]`` are RX ``i``'s own-beamspot and
     all-beamspot received amplitudes; both are linear in the active TXs'
     scaled channel rows, so every move is an O(M) update.
+    ``unit[j, i]`` is ``gains[j, i]`` in slot ``i`` of an otherwise zero
+    ``(M,)`` row: the change to the signals when TX ``j`` serves RX ``i``.
+
+    The state starts with TX ``tx[k]`` serving RX ``rx[k]`` (at least one
+    pair); the components are summed in pair order, exactly as switching
+    the pairs on one by one would (``accumulate`` is sequential and
+    ``add.at`` unbuffered).
     """
 
-    def __init__(self, gains: np.ndarray) -> None:
+    def __init__(
+        self, gains: np.ndarray, unit: np.ndarray, tx: np.ndarray, rx: np.ndarray
+    ) -> None:
         self.gains = gains  # (N, M) amplitude contribution per (TX, RX)
-        num_tx, num_rx = gains.shape
-        self.assignment = np.full(num_tx, OFF, dtype=int)
-        self.signal = np.zeros(num_rx)
-        self.total = np.zeros(num_rx)
-
-    @property
-    def active_count(self) -> int:
-        return int(np.count_nonzero(self.assignment != OFF))
+        self.unit = unit
+        self.assignment = np.full(gains.shape[0], OFF, dtype=int)
+        self.assignment[tx] = rx
+        self.total = np.add.accumulate(gains[tx], axis=0)[-1]
+        self.signal = np.zeros(gains.shape[1])
+        np.add.at(self.signal, rx, gains[tx, rx])
 
     def switch_on(self, tx: int, rx: int) -> None:
         self.assignment[tx] = rx
@@ -166,24 +180,38 @@ def _tie_digest(seed: int, iteration: int, move: List[int]) -> bytes:
     return hashlib.blake2b(payload, digest_size=8).digest()
 
 
-def _move_block(kind: int, tx_out: Any, tx_in: Any, rx: np.ndarray) -> np.ndarray:
-    """``(len(rx), 4)`` move rows; scalar columns broadcast down the block."""
-    block = np.empty((len(rx), 4), dtype=int)
-    block[:, 0] = kind
-    block[:, 1] = tx_out
-    block[:, 2] = tx_in
-    block[:, 3] = rx
-    return block
+class _Moves(NamedTuple):
+    """One round's candidate moves, kept as per-block index arrays.
 
+    Candidate rows run in blocks: OFF (one per active TX), ON (the first
+    ``on_moves`` allowed inactive pairs -- all of them while the budget
+    has room, none once it is full), REASSIGN, then SWAP (active-major
+    over every allowed inactive pair).  :meth:`row` decodes one flat
+    candidate index into its ``(kind, tx_out, tx_in, rx)`` row; only the
+    winner and exact ties are ever decoded.
+    """
 
-def _off_components(
-    state: _SearchState, active: np.ndarray, served: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(signals, totals) after switching off each of the *active* TXs."""
-    totals = state.total[None, :] - state.gains[active]
-    signals = np.repeat(state.signal[None, :], active.size, axis=0)
-    signals[np.arange(active.size), served] -= state.gains[active, served]
-    return signals, totals
+    active: np.ndarray
+    served: np.ndarray
+    on_tx: np.ndarray
+    on_rx: np.ndarray
+    on_moves: int
+    re_tx: np.ndarray
+    re_rx: np.ndarray
+
+    def row(self, index: int) -> List[int]:
+        if index < self.active.size:
+            return [_MOVE_OFF, int(self.active[index]), -1, int(self.served[index])]
+        index -= self.active.size
+        if index < self.on_moves:
+            return [_MOVE_ON, -1, int(self.on_tx[index]), int(self.on_rx[index])]
+        index -= self.on_moves
+        if index < self.re_tx.size:
+            tx = int(self.re_tx[index])
+            return [_MOVE_REASSIGN, tx, tx, int(self.re_rx[index])]
+        out, pair = divmod(index - self.re_tx.size, self.on_tx.size)
+        tx_in, rx = int(self.on_tx[pair]), int(self.on_rx[pair])
+        return [_MOVE_SWAP, int(self.active[out]), tx_in, rx]
 
 
 class SwingSearchSolver:
@@ -229,35 +257,37 @@ class SwingSearchSolver:
             # allocation is the empty one (burning swing on zero-gain
             # links costs power for floored rates).
             empty = binary_allocation(problem, (), solver="swing-search")
-            return self._finish(problem, empty, empty, 0, 0, 0, [])
+            return self._finish(problem, empty, None, 0, 0, 0, [])
         with self._timer("optimizer.swing.seed_seconds"):
             seed_allocation = RankingHeuristic(kappa=options.kappa).solve(problem)
 
         gains = self._amplitude_gains(problem)
-        allowed = self._allowed_pairs(problem, seed_allocation)
-        state = _SearchState(gains)
-        for tx, rx in seed_allocation.assignments:
-            state.switch_on(int(tx), int(rx))
+        unit = gains[:, :, None] * np.eye(problem.num_receivers)
+        allowed = self._allowed_pairs(problem)
+        seed_pairs = np.array(seed_allocation.assignments).T
+        seed_state = state = _SearchState(gains, unit, *seed_pairs)
 
         warm_pairs = self._warm_projection(problem)
         if warm_pairs is not None:
-            warm_state = _SearchState(gains)
-            for tx, rx in warm_pairs:
-                warm_state.switch_on(tx, rx)
-                allowed[tx, rx] = True
+            warm_state = _SearchState(gains, unit, *warm_pairs)
+            allowed[warm_pairs] = True
             with self._timer("optimizer.swing.repair_seconds"):
                 self._repair(warm_state, capacity)
-            if self._utility(problem, warm_state) > self._utility(problem, state):
+            if self._utility(warm_state) > self._utility(state):
                 self._count("optimizer.swing.warm_seeds")
                 state = warm_state
 
         with self._timer("optimizer.swing.search_seconds"):
             iterations, flips, swaps, trajectory = self._ascend(
-                problem, state, allowed, capacity
+                state, np.nonzero(allowed), capacity
             )
         candidate = binary_allocation(
             problem, self._ordered_assignments(state), solver="swing-search"
         )
+        # An untouched seed state yields the seed's swings exactly, so
+        # the seed-floor guard has nothing to compare.
+        if state is seed_state and iterations == 0:
+            seed_allocation = None
         return self._finish(
             problem, candidate, seed_allocation, iterations, flips, swaps, trajectory
         )
@@ -281,32 +311,26 @@ class SwingSearchSolver:
         )
         return scale * (led.max_swing / 2.0) ** 2 * problem.channel
 
-    def _allowed_pairs(
-        self, problem: AllocationProblem, seed: Allocation
-    ) -> np.ndarray:
+    def _allowed_pairs(self, problem: AllocationProblem) -> np.ndarray:
         """(N, M) mask of candidate (TX, RX) pairs the search may use.
 
-        With ``reduce`` the mask is the SJR-ranked reduction plan's pair
-        set (plus the seed's pairs, which the ranked prefix contains by
-        construction but are unioned defensively); without it, every
+        With ``reduce`` the mask is the SJR-pruned pair set of
+        :func:`reduction_pairs`, whose ranked prefix (``K`` >= the
+        affordable count) contains every seed pair; without it, every
         pair with a usable channel gain.  Pairs with zero gain are never
         candidates -- granting them swing burns budget for nothing.
         """
         usable = problem.channel > 0.0
         if self.options.reduce:
-            plan = plan_reduction(
+            pairs = reduction_pairs(
                 problem,
                 kappa=self.options.kappa,
                 margin=self.options.reduction_margin,
                 min_extra=self.options.reduction_min_extra,
             )
-            if plan is not None:
+            if pairs is not None:
                 mask = np.zeros_like(usable)
-                mask[plan.tx_indices, plan.rx_indices] = True
-                mask &= usable
-                for tx, rx in seed.assignments:
-                    if usable[tx, rx]:
-                        mask[tx, rx] = True
+                mask[pairs] = usable[pairs]
                 if self.metrics is not None:
                     self.metrics.gauge("optimizer.swing.candidate_pairs").set(
                         float(np.count_nonzero(mask))
@@ -316,7 +340,7 @@ class SwingSearchSolver:
 
     def _warm_projection(
         self, problem: AllocationProblem
-    ) -> Optional[List[Assignment]]:
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """The warm-start matrix projected onto the assignment space.
 
         Each TX with positive total swing maps to its argmax RX; TXs are
@@ -336,27 +360,18 @@ class SwingSearchSolver:
         if active.size == 0:
             return None
         order = active[np.argsort(-per_tx[active], kind="stable")]
-        pairs: List[Assignment] = []
-        for tx in order:
-            rx = int(np.argmax(warm[tx]))
-            if problem.channel[tx, rx] > 0.0:
-                pairs.append((int(tx), rx))
-        return pairs or None
+        best_rx = np.argmax(warm[order], axis=1)
+        usable = problem.channel[order, best_rx] > 0.0
+        if not np.any(usable):
+            return None
+        return order[usable], best_rx[usable]
 
     # ------------------------------------------------------------------
     # Local search
     # ------------------------------------------------------------------
 
-    def _utility(self, problem: AllocationProblem, state: _SearchState) -> float:
-        return float(
-            utility_from_amplitude_components(
-                state.signal,
-                state.total,
-                problem.noise.power,
-                problem.noise.bandwidth,
-                self.options.utility_floor,
-            )
-        )
+    def _utility(self, state: _SearchState) -> float:
+        return float(self._stack_utility(state.signal, state.total))
 
     def _repair(self, state: _SearchState, capacity: int) -> None:
         """Switch off least-valuable TXs until the budget holds (Eq. 7).
@@ -366,14 +381,11 @@ class SwingSearchSolver:
         removal costs the least utility (ties break by blake2b digest).
         """
         iteration = 0
-        while state.active_count > capacity:
-            active = np.nonzero(state.assignment != OFF)[0]
-            served = state.assignment[active]
-            signals, totals = _off_components(state, active, served)
+        while np.count_nonzero(state.assignment != OFF) > capacity:
+            signals, totals, moves = self._candidate_moves(state, _NO_PAIRS, 0)
             utilities = self._stack_utility(signals, totals)
-            moves = _move_block(_MOVE_OFF, active, -1, served)
             best = self._pick_best(utilities, moves, iteration)
-            state.switch_off(int(moves[best, 1]))
+            state.switch_off(moves.row(best)[1])
             self._count("optimizer.swing.repairs")
             iteration += 1
 
@@ -389,107 +401,80 @@ class SwingSearchSolver:
             dtype=float,
         )
 
-    def _pick_best(
-        self, utilities: np.ndarray, moves: np.ndarray, iteration: int
-    ) -> int:
-        """Row of the best candidate; exact ties break by blake2b."""
+    def _pick_best(self, utilities: np.ndarray, moves: _Moves, iteration: int) -> int:
+        """Index of the best candidate; exact ties break by blake2b."""
         tied = np.flatnonzero(utilities == utilities.max())
         if tied.size == 1:
             return int(tied[0])
         seed = self.options.seed
-        return int(
-            min(
-                tied,
-                key=lambda c: _tie_digest(seed, iteration, moves[c].tolist()),
-            )
+        return min(
+            tied.tolist(),
+            key=lambda c: _tie_digest(seed, iteration, moves.row(c)),
         )
 
     def _candidate_moves(
         self,
         state: _SearchState,
-        allowed: np.ndarray,
+        allowed: Tuple[np.ndarray, np.ndarray],
         capacity: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, _Moves]:
         """Stack every legal move's (signal, total) components.
 
-        Returns ``(signals, totals, moves)`` where row ``c`` holds the
-        post-move amplitude components of candidate ``c`` and ``moves``
-        is the ``(C, 4)`` int array of ``(kind, tx_out, tx_in, rx)`` rows,
-        ``-1`` marking unused slots.
+        *allowed* holds the ``(tx, rx)`` index arrays of the candidate
+        pairs in row-major order.  Returns ``(signals, totals, moves)``
+        where row ``c`` holds the post-move amplitude components of
+        candidate ``c`` and ``moves`` decodes ``c`` back to its move.
         """
-        gains = state.gains
+        gains, unit, assignment = state.gains, state.unit, state.assignment
         signal, total = state.signal, state.total
-        active = np.nonzero(state.assignment != OFF)[0]
-        served = state.assignment[active]
-        signal_rows: List[np.ndarray] = []
-        total_rows: List[np.ndarray] = []
-        move_rows: List[np.ndarray] = []
+        allowed_tx, allowed_rx = allowed
+        active = np.flatnonzero(assignment != OFF)
+        served = assignment[active]
+        pair_rx = assignment[allowed_tx]
+        inactive = pair_rx == OFF
+        on_tx, on_rx = allowed_tx[inactive], allowed_rx[inactive]
+        redirect = ~inactive & (allowed_rx != pair_rx)
+        re_tx, re_rx = allowed_tx[redirect], allowed_rx[redirect]
+        on_rows, on_unit = gains[on_tx], unit[on_tx, on_rx]
 
+        # Each block applies its move to the current components in the
+        # same operation order as the state updates (adding an exact zero
+        # elsewhere), so a score matches the applied move bit for bit.
         # OFF: each active TX stops serving (frees budget, cuts its own
         # signal but also its interference at every other RX).
-        if active.size:
-            out_signals, out_totals = _off_components(state, active, served)
-            total_rows.append(out_totals)
-            signal_rows.append(out_signals)
-            move_rows.append(_move_block(_MOVE_OFF, active, -1, served))
+        off_signals = signal - unit[active, served]
+        off_totals = total - gains[active]
+        signal_blocks = [off_signals]
+        total_blocks = [off_totals]
 
         # ON: any allowed inactive (TX, RX) pair, budget permitting.
-        on_tx, on_rx = np.nonzero(allowed & (state.assignment == OFF)[:, None])
-        if on_tx.size and active.size < capacity:
-            totals = total[None, :] + gains[on_tx]
-            signals = np.repeat(signal[None, :], on_tx.size, axis=0)
-            signals[np.arange(on_tx.size), on_rx] += gains[on_tx, on_rx]
-            total_rows.append(totals)
-            signal_rows.append(signals)
-            move_rows.append(_move_block(_MOVE_ON, -1, on_tx, on_rx))
+        on_moves = on_tx.size if active.size < capacity else 0
+        if on_moves:
+            signal_blocks.append(signal + on_unit)
+            total_blocks.append(total + on_rows)
 
         # REASSIGN: an active TX redirects its beamspot to another RX
         # it is allowed to serve (total interference stays put).
-        if active.size:
-            re_mask = allowed[active].copy()
-            re_mask[np.arange(active.size), served] = False
-            re_local, re_rx = np.nonzero(re_mask)
-            if re_local.size:
-                re_tx = active[re_local]
-                old_rx = served[re_local]
-                totals = np.repeat(total[None, :], re_tx.size, axis=0)
-                signals = np.repeat(signal[None, :], re_tx.size, axis=0)
-                rows = np.arange(re_tx.size)
-                signals[rows, old_rx] -= gains[re_tx, old_rx]
-                signals[rows, re_rx] += gains[re_tx, re_rx]
-                total_rows.append(totals)
-                signal_rows.append(signals)
-                move_rows.append(_move_block(_MOVE_REASSIGN, re_tx, re_tx, re_rx))
+        signal_blocks.append(
+            (signal - unit[re_tx, assignment[re_tx]]) + unit[re_tx, re_rx]
+        )
+        total_blocks.append(np.broadcast_to(total, (re_tx.size, total.size)))
 
         # SWAP: switch one active TX off and an inactive one on, as one
         # atomic move -- the escape hatch when the budget is saturated
         # and no single move improves.  Rows run active-major.
-        if active.size and on_tx.size:
-            totals = out_totals[:, None, :] + gains[on_tx][None, :, :]
-            signals = np.repeat(out_signals[:, None, :], on_tx.size, axis=1)
-            signals[:, np.arange(on_tx.size), on_rx] += gains[on_tx, on_rx]
-            total_rows.append(totals.reshape(-1, total.size))
-            signal_rows.append(signals.reshape(-1, signal.size))
-            move_rows.append(
-                _move_block(
-                    _MOVE_SWAP,
-                    np.repeat(active, on_tx.size),
-                    np.tile(on_tx, active.size),
-                    np.tile(on_rx, active.size),
-                )
-            )
-
-        if not move_rows:
-            empty = np.empty((0, signal.size))
-            return empty, empty, np.empty((0, 4), dtype=int)
-        return (
-            np.concatenate(signal_rows),
-            np.concatenate(total_rows),
-            np.concatenate(move_rows),
+        signal_blocks.append(
+            (off_signals[:, None, :] + on_unit[None, :, :]).reshape(-1, total.size)
+        )
+        total_blocks.append(
+            (off_totals[:, None, :] + on_rows[None, :, :]).reshape(-1, total.size)
         )
 
-    def _apply(self, state: _SearchState, move: np.ndarray) -> None:
-        kind, tx_out, tx_in, rx = move.tolist()
+        moves = _Moves(active, served, on_tx, on_rx, on_moves, re_tx, re_rx)
+        return np.concatenate(signal_blocks), np.concatenate(total_blocks), moves
+
+    def _apply(self, state: _SearchState, move: List[int]) -> None:
+        kind, tx_out, tx_in, rx = move
         if kind == _MOVE_OFF:
             state.switch_off(tx_out)
         elif kind == _MOVE_ON:
@@ -502,28 +487,28 @@ class SwingSearchSolver:
 
     def _ascend(
         self,
-        problem: AllocationProblem,
         state: _SearchState,
-        allowed: np.ndarray,
+        allowed: Tuple[np.ndarray, np.ndarray],
         capacity: int,
     ) -> Tuple[int, int, int, List[float]]:
         """Steepest-ascent rounds until no move improves the objective."""
-        current = self._utility(problem, state)
+        current = self._utility(state)
         trajectory = [current]
         iterations = flips = swaps = 0
         for _ in range(self.options.max_iterations):
             signals, totals, moves = self._candidate_moves(state, allowed, capacity)
-            if not len(moves):
+            if not len(signals):
                 break
             utilities = self._stack_utility(signals, totals)
             best = self._pick_best(utilities, moves, iterations)
             if utilities[best] - current <= self.options.tolerance:
                 break
-            self._apply(state, moves[best])
+            move = moves.row(best)
+            self._apply(state, move)
             current = float(utilities[best])
             trajectory.append(current)
             iterations += 1
-            if moves[best, 0] == _MOVE_SWAP:
+            if move[0] == _MOVE_SWAP:
                 swaps += 1
             else:
                 flips += 1
@@ -534,24 +519,26 @@ class SwingSearchSolver:
     # ------------------------------------------------------------------
 
     def _ordered_assignments(self, state: _SearchState) -> Tuple[Assignment, ...]:
-        active = np.nonzero(state.assignment != OFF)[0]
-        return tuple(
-            (int(tx), int(state.assignment[tx])) for tx in active
-        )
+        active = np.flatnonzero(state.assignment != OFF)
+        return tuple(zip(active.tolist(), state.assignment[active].tolist()))
 
     def _finish(
         self,
         problem: AllocationProblem,
         candidate: Allocation,
-        seed: Allocation,
+        seed: Optional[Allocation],
         iterations: int,
         flips: int,
         swaps: int,
         trajectory: List[float],
     ) -> Allocation:
-        """Guard the seed floor, record metrics and span annotations."""
+        """Guard the seed floor, record metrics and span annotations.
+
+        *seed* is None when *candidate* cannot differ from it, which
+        skips the guard's two full-path utility evaluations.
+        """
         final = candidate
-        if candidate is not seed and candidate.utility < seed.utility:
+        if seed is not None and candidate.utility < seed.utility:
             # The incremental components agree with problem.utility() to
             # float precision, so this only fires on pathological
             # round-off -- but the "never worse than the seed" contract

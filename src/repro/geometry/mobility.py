@@ -18,6 +18,7 @@ All models expose ``position_at(t)`` (a single RX) and ``sample(times)``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -136,7 +137,7 @@ class RandomWaypointModel(MobilityModel):
         if t < 0:
             raise GeometryError(f"time must be >= 0, got {t}")
         self._extend_until(t)
-        idx = int(np.searchsorted(self._times, t, side="right")) - 1
+        idx = bisect_right(self._times, t) - 1
         idx = max(0, min(idx, len(self._times) - 2))
         t0, t1 = self._times[idx], self._times[idx + 1]
         frac = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
@@ -222,7 +223,7 @@ class HotspotModel(MobilityModel):
         if t < 0:
             raise GeometryError(f"time must be >= 0, got {t}")
         self._extend_until(t)
-        idx = int(np.searchsorted(self._times, t, side="right")) - 1
+        idx = bisect_right(self._times, t) - 1
         idx = max(0, min(idx, len(self._times) - 2))
         t0, t1 = self._times[idx], self._times[idx + 1]
         frac = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)

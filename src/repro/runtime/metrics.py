@@ -302,12 +302,18 @@ class MetricsRegistry:
     def counter(self, name: str, **labels: Any) -> Counter:
         key = (name, _label_set(labels))
         with self._lock:
-            return self._counters.setdefault(key, Counter())
+            counter = self._counters.get(key)
+            if counter is None:
+                counter = self._counters[key] = Counter()
+            return counter
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
         key = (name, _label_set(labels))
         with self._lock:
-            return self._gauges.setdefault(key, Gauge())
+            gauge = self._gauges.get(key)
+            if gauge is None:
+                gauge = self._gauges[key] = Gauge()
+            return gauge
 
     def histogram(
         self,

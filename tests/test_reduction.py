@@ -6,6 +6,8 @@ the warm-start pipeline, and the incremental channel maintenance in
 :func:`repro.channel.channel_matrix_update` and the serving layer.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from repro.core import (
     plan_reduction,
     solve_optimal,
 )
+from repro.core.heuristic import _rank_transmitters_loop, sjr_matrix
+from repro.core.reduction import reduction_pairs
 from repro.errors import ChannelError, GeometryError, OptimizationError
 from repro.experiments.config import default_config
 from repro.experiments.scenarios import fig7_instance
@@ -139,6 +143,77 @@ class TestPlanReduction:
             plan_reduction(fig7_problem, margin=-0.1)
         with pytest.raises(OptimizationError):
             plan_reduction(fig7_problem, min_extra=-1)
+
+
+def _reference_pairs(problem, kappa, margin, min_extra):
+    """Algorithm 1's pruning rule from the O(N^2) masked-argmax ranking."""
+    num_tx, num_rx = problem.channel.shape
+    affordable = problem.max_affordable_transmitters
+    k = max(math.ceil(affordable * (1.0 + margin)), affordable + min_extra, num_rx)
+    if k >= num_tx:
+        return None
+    pairs = _rank_transmitters_loop(problem.channel, kappa)[:k]
+    covered = {rx for _, rx in pairs}
+    sjr = sjr_matrix(problem.channel, kappa)
+    for rx in range(num_rx):
+        if rx not in covered and np.any(problem.channel[:, rx] > 0.0):
+            pairs.append((int(np.argmax(sjr[:, rx])), rx))
+    return pairs
+
+
+class TestReductionPairs:
+    """The one-pass pair selection against the loop reference."""
+
+    @staticmethod
+    def _channels(seed):
+        rng = np.random.default_rng(seed)
+        num_tx = int(rng.integers(2, 25))
+        num_rx = int(rng.integers(1, 6))
+        channel = rng.uniform(0.0, 1e-5, size=(num_tx, num_rx))
+        channel[rng.random(channel.shape) < 0.3] = 0.0
+        yield channel
+        # An all-zero receiver column: unreachable, never covered.
+        blind = channel.copy()
+        blind[:, int(rng.integers(num_rx))] = 0.0
+        yield blind
+        # Duplicated quantised rows: exact SJR ties between twin TXs.
+        palette = rng.integers(0, 4, size=(3, num_rx)) * 5e-6
+        yield palette[rng.integers(0, 3, size=num_tx)]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_loop_reference(self, seed, led):
+        rng = np.random.default_rng(500 + seed)
+        for channel in self._channels(seed):
+            num_tx = channel.shape[0]
+            for fraction in (0.0, 0.1, 0.3, 0.6, 1.5):
+                problem = AllocationProblem(
+                    channel=channel,
+                    power_budget=fraction * num_tx * led.full_swing_power,
+                    led=led,
+                )
+                kappa = float(rng.choice([0.7, 1.0, 1.3, 2.0]))
+                margin = float(rng.choice([0.0, 0.5, 1.0]))
+                min_extra = int(rng.integers(0, 4))
+                expected = _reference_pairs(problem, kappa, margin, min_extra)
+                pairs = reduction_pairs(problem, kappa, margin, min_extra)
+                if expected is None:
+                    assert pairs is None
+                    assert plan_reduction(problem, kappa, margin, min_extra) is None
+                    continue
+                tx, rx = pairs
+                assert list(zip(tx.tolist(), rx.tolist())) == expected
+                plan = plan_reduction(problem, kappa, margin, min_extra)
+                assert sorted(plan.pairs) == sorted(expected)
+
+    def test_budget_covering_every_tx_returns_none(self, fig7_problem):
+        # K >= N: nothing to prune.
+        assert reduction_pairs(fig7_problem.with_budget(1e6)) is None
+
+    def test_invalid_margin_raises(self, fig7_problem):
+        with pytest.raises(OptimizationError):
+            reduction_pairs(fig7_problem, margin=-0.1)
+        with pytest.raises(OptimizationError):
+            reduction_pairs(fig7_problem, min_extra=-1)
 
 
 class TestReducedSolve:

@@ -264,6 +264,33 @@ class TestMetrics:
         assert histogram.percentile(50.0) == pytest.approx(50.5)
         assert histogram.percentile(95.0) == pytest.approx(95.05)
 
+    def test_repeated_lookup_builds_no_new_instrument(self, monkeypatch):
+        from repro.runtime import metrics as metrics_module
+
+        built = []
+
+        def counting(kind):
+            class Counting(kind):
+                def __init__(self):
+                    built.append(kind.__name__)
+                    super().__init__()
+
+            return Counting
+
+        monkeypatch.setattr(metrics_module, "Counter", counting(metrics_module.Counter))
+        monkeypatch.setattr(metrics_module, "Gauge", counting(metrics_module.Gauge))
+        registry = MetricsRegistry()
+        counter = registry.counter("hits", shard="a")
+        gauge = registry.gauge("size")
+        assert built == ["Counter", "Gauge"]
+        for _ in range(3):
+            assert registry.counter("hits", shard="a") is counter
+            assert registry.gauge("size") is gauge
+        assert built == ["Counter", "Gauge"]
+        # A different label set is a different instrument.
+        assert registry.counter("hits", shard="b") is not counter
+        assert built == ["Counter", "Gauge", "Counter"]
+
     def test_counter_rejects_negative(self):
         from repro.errors import ConfigurationError
 

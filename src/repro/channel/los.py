@@ -224,9 +224,9 @@ def channel_matrix_update(
     scene: Scene,
     matrix: np.ndarray,
     moved_positions_xy: "np.ndarray | list",
-    moved_indices: "Sequence[int]",
+    moved_indices: "Sequence[int] | Sequence[Sequence[int]] | np.ndarray",
 ) -> np.ndarray:
-    """A channel matrix with only the moved receivers' columns recomputed.
+    """Channel matrices with only the moved receivers' columns recomputed.
 
     When a subset of receivers moves between mobility steps (or between
     service requests), only their columns of the (N, M) gain matrix
@@ -240,45 +240,70 @@ def channel_matrix_update(
     ``moved_positions_xy`` is (K, 2): the new XY position of each entry
     of ``moved_indices``.  Heights, orientations and photodiode models
     are preserved from the scene.
+
+    With a leading placement axis, *matrix* is a (B, N, M) stack and
+    ``moved_indices`` a (K, 2) array of ``(placement, receiver)`` pairs:
+    every moved column of every placement is recomputed in one broadcast
+    and the updated (B, N, M) stack is returned.  The 2-D form is the
+    B = 1 case.
     """
     base = np.asarray(matrix, dtype=float)
-    if base.shape != (scene.num_transmitters, scene.num_receivers):
+    stacked = base.ndim == 3
+    bases = base if stacked else base[None]
+    shape = (scene.num_transmitters, scene.num_receivers)
+    if bases.ndim != 3 or bases.shape[1:] != shape:
         raise ChannelError(
             f"matrix shape {base.shape} does not match the scene's "
-            f"({scene.num_transmitters}, {scene.num_receivers})"
+            f"{shape} (optionally behind a placement axis)"
         )
     moved = np.asarray(moved_indices, dtype=int)
-    if moved.ndim != 1 or moved.size == 0:
-        raise ChannelError("need at least one moved receiver index")
-    if np.unique(moved).size != moved.size:
-        raise ChannelError(f"duplicate moved receiver indices: {moved}")
-    if moved.min() < 0 or moved.max() >= scene.num_receivers:
-        raise GeometryError(f"moved receiver index out of range: {moved}")
-    xy = np.asarray(moved_positions_xy, dtype=float)
-    if xy.shape != (moved.size, 2):
+    if not stacked:
+        if moved.ndim != 1:
+            raise ChannelError("need at least one moved receiver index")
+        moved = np.stack((np.zeros_like(moved), moved), axis=1)
+    if moved.ndim != 2 or moved.shape[1] != 2 or len(moved) == 0:
         raise ChannelError(
-            f"expected a ({moved.size}, 2) array of XY positions, "
+            "need at least one moved (placement, receiver) index pair"
+        )
+    placement, receiver = moved[:, 0], moved[:, 1]
+    if placement.min() < 0 or placement.max() >= len(bases):
+        raise ChannelError(f"placement index out of range: {placement}")
+    if receiver.min() < 0 or receiver.max() >= scene.num_receivers:
+        raise GeometryError(f"moved receiver index out of range: {receiver}")
+    flat = placement * scene.num_receivers + receiver
+    if np.unique(flat).size != flat.size:
+        raise ChannelError(f"duplicate moved receiver indices: {moved.tolist()}")
+    xy = np.asarray(moved_positions_xy, dtype=float)
+    if xy.shape != (len(moved), 2):
+        raise ChannelError(
+            f"expected a ({len(moved)}, 2) array of XY positions, "
             f"got shape {xy.shape}"
         )
-    for x, y in xy:
-        if not scene.room.contains_xy(float(x), float(y)):
-            raise GeometryError(
-                f"RX position ({x}, {y}) lies outside the room footprint"
-            )
+    inside = (
+        (xy[:, 0] >= 0.0)
+        & (xy[:, 0] <= scene.room.width)
+        & (xy[:, 1] >= 0.0)
+        & (xy[:, 1] <= scene.room.depth)
+    )
+    if not inside.all():
+        x, y = xy[int(np.argmin(inside))]
+        raise GeometryError(
+            f"RX position ({x}, {y}) lies outside the room footprint"
+        )
     base_pos, rx_ori, photodiodes = _scene_rx_arrays(scene)
-    rx_pos = np.concatenate([xy, base_pos[moved, 2:3]], axis=1)
+    rx_pos = np.concatenate([xy, base_pos[receiver, 2:3]], axis=1)
     tx_pos, tx_ori, orders = _scene_tx_arrays(scene)
     columns = los_gain_stack(
         tx_pos,
         tx_ori,
         orders,
         rx_pos,
-        rx_ori[moved],
-        [photodiodes[int(m)] for m in moved],
+        rx_ori[receiver],
+        [photodiodes[m] for m in receiver.tolist()],
     )
-    updated = base.copy()
-    updated[:, moved] = columns
-    return updated
+    updated = bases.copy()
+    updated[placement, :, receiver] = columns.T
+    return updated if stacked else updated[0]
 
 
 def vertical_los_gain(

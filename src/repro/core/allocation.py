@@ -36,16 +36,28 @@ def assignment_matrix(
     if swing < 0:
         raise AllocationError(f"swing must be >= 0, got {swing}")
     matrix = np.zeros((num_transmitters, num_receivers))
-    seen = set()
-    for tx, rx in assignments:
-        if not 0 <= tx < num_transmitters:
-            raise AllocationError(f"TX index {tx} out of range")
-        if not 0 <= rx < num_receivers:
-            raise AllocationError(f"RX index {rx} out of range")
-        if tx in seen:
-            raise AllocationError(f"TX index {tx} assigned twice")
-        seen.add(tx)
-        matrix[tx, rx] = swing
+    if len(assignments) == 0:
+        return matrix
+    pairs = np.asarray(assignments)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        raise AllocationError(
+            f"assignments must be (tx, rx) integer pairs, got {assignments!r}"
+        )
+    tx, rx = pairs[:, 0], pairs[:, 1]
+    bad_tx = (tx < 0) | (tx >= num_transmitters)
+    bad_rx = (rx < 0) | (rx >= num_receivers)
+    repeated = np.ones(len(tx), dtype=bool)
+    repeated[np.unique(tx, return_index=True)[1]] = False
+    bad = bad_tx | bad_rx | repeated
+    if bad.any():
+        # Report the first offending pair, as a pair-by-pair scan would.
+        first = int(np.argmax(bad))
+        if bad_tx[first]:
+            raise AllocationError(f"TX index {tx[first]} out of range")
+        if bad_rx[first]:
+            raise AllocationError(f"RX index {rx[first]} out of range")
+        raise AllocationError(f"TX index {tx[first]} assigned twice")
+    matrix[tx, rx] = swing
     return matrix
 
 

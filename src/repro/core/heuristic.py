@@ -25,7 +25,7 @@ import numpy as np
 
 from .. import constants
 from ..errors import AllocationError
-from .allocation import Allocation, Assignment, binary_allocation, truncate_to_budget
+from .allocation import Allocation, Assignment
 from .problem import AllocationProblem
 
 
@@ -38,13 +38,13 @@ def sjr_matrix(channel: np.ndarray, kappa: float = constants.DEFAULT_KAPPA) -> n
     matrix = np.asarray(channel, dtype=float)
     if matrix.ndim != 2:
         raise AllocationError(f"channel must be 2-D, got shape {matrix.shape}")
-    if np.any(matrix < 0):
+    if (matrix < 0).any():
         raise AllocationError("channel gains must be non-negative")
     if not math.isfinite(kappa) or kappa <= 0:
         raise AllocationError(f"kappa must be positive and finite, got {kappa}")
     row_sums = matrix.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sjr = np.where(row_sums > 0.0, matrix**kappa / row_sums, 0.0)
+    sjr = np.zeros_like(matrix)
+    np.divide(matrix**kappa, row_sums, out=sjr, where=row_sums > 0.0)
     return sjr
 
 
@@ -114,9 +114,8 @@ class RankingHeuristic:
 
     def solve(self, problem: AllocationProblem) -> Allocation:
         """Grant full swing down the ranking until the budget runs out."""
-        ranked = self.ranking(problem)
-        granted = truncate_to_budget(problem, ranked)
-        return binary_allocation(problem, granted, solver=f"heuristic(kappa={self.kappa})")
+        tx, rx = ranked_pairs(sjr_matrix(problem.channel, self.kappa))
+        return self._granted(problem, tx, rx)
 
     def sweep(
         self, problem: AllocationProblem, budgets: Sequence[float]
@@ -125,17 +124,31 @@ class RankingHeuristic:
 
         The ranking is computed once (it does not depend on the budget).
         """
-        ranked = self.ranking(problem)
-        allocations = []
-        for budget in budgets:
-            scoped = problem.with_budget(float(budget))
-            granted = truncate_to_budget(scoped, ranked)
-            allocations.append(
-                binary_allocation(
-                    scoped, granted, solver=f"heuristic(kappa={self.kappa})"
-                )
-            )
-        return allocations
+        tx, rx = ranked_pairs(sjr_matrix(problem.channel, self.kappa))
+        return [
+            self._granted(problem.with_budget(float(budget)), tx, rx)
+            for budget in budgets
+        ]
+
+    def _granted(
+        self, problem: AllocationProblem, tx: np.ndarray, rx: np.ndarray
+    ) -> Allocation:
+        """Full swing on the longest affordable prefix of the ranking.
+
+        The array form of ``binary_allocation(problem,
+        truncate_to_budget(problem, ranking))``: the ranking's TXs are
+        distinct and in range, so one fancy assignment builds the matrix.
+        """
+        granted = min(problem.max_affordable_transmitters, tx.size)
+        tx, rx = tx[:granted], rx[:granted]
+        swings = np.zeros(problem.channel.shape)
+        swings[tx, rx] = problem.led.max_swing
+        return Allocation(
+            problem=problem,
+            swings=swings,
+            assignments=tuple(zip(tx.tolist(), rx.tolist())),
+            solver=f"heuristic(kappa={self.kappa})",
+        )
 
 
 def tune_kappa(

@@ -22,6 +22,7 @@ Solvers are looked up by name in :data:`SOLVERS` (``"heuristic"``,
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
@@ -253,6 +254,7 @@ class SolverPool:
         self.options = options if options is not None else PoolOptions()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.resilience = resilience
+        self._solve_seconds = self.metrics.histogram("pool.solve_seconds")
 
     def solve_many(self, tasks: Sequence[SolveTask]) -> List[np.ndarray]:
         """Solve every task, preserving submission order."""
@@ -262,8 +264,8 @@ class SolverPool:
         """Solve every task, returning swings plus resilience provenance."""
         tasks = list(tasks)
         self.metrics.counter("pool.tasks").increment(len(tasks))
-        for task in tasks:
-            self.metrics.counter("pool.solves", solver=task.solver).increment()
+        for solver, count in Counter(task.solver for task in tasks).items():
+            self.metrics.counter("pool.solves", solver=solver).increment(count)
         use_pool = self.options.max_workers > 1 and len(tasks) > 1
         short_circuited = False
         if (
@@ -319,8 +321,11 @@ class SolverPool:
             return solve_task(task, metrics=self.metrics, attempt=attempt)
 
         if timeout is None or timeout == float("inf"):
-            with self.metrics.timer("pool.solve_seconds"):
+            start = time.perf_counter()
+            try:
                 return _run()
+            finally:
+                self._solve_seconds.observe(time.perf_counter() - start)
         if timeout <= 0:
             raise DeadlineExceeded(
                 f"no time left for solver {task.solver!r} (attempt {attempt})"
@@ -328,8 +333,11 @@ class SolverPool:
         executor = ThreadPoolExecutor(max_workers=1)
         future = executor.submit(_run)
         try:
-            with self.metrics.timer("pool.solve_seconds"):
+            start = time.perf_counter()
+            try:
                 return future.result(timeout=timeout)
+            finally:
+                self._solve_seconds.observe(time.perf_counter() - start)
         except FutureTimeout:
             if traced:
                 spans.append(

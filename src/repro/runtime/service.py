@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
@@ -26,7 +27,7 @@ from ..channel import (
     channel_matrix_update,
     throughput_stack,
 )
-from ..errors import ChannelError, RuntimeEngineError
+from ..errors import ChannelError, GeometryError, RuntimeEngineError
 from ..system import FINGERPRINT_QUANTUM, Scene, simulation_scene
 from ..tracecontext import Span
 from .cache import LRUCache
@@ -62,12 +63,14 @@ NEIGHBORHOOD_MEMORY = 64
 
 
 class PlacementMemory:
-    """Recently served placements as one ``(K, M, 2)`` array.
+    """Recently computed placements as one ``(K, M, 2)`` array.
 
-    A placement remembered again keeps its first positions and only
-    becomes the most recent; past *capacity* the least recent one is
-    evicted.  :meth:`neighbors` compares a query against every entry in
-    one broadcast.
+    :meth:`remember` records the positions a placement's channel matrix
+    was computed at, replacing what an earlier computation under the
+    same key stored, so the memory always agrees with the cached matrix;
+    :meth:`touch` (a cache hit) only makes a placement the most recent.
+    Past *capacity* the least recent one is evicted.  :meth:`neighbors`
+    compares a batch of queries against every entry in one broadcast.
     """
 
     def __init__(self, capacity: int, num_receivers: int) -> None:
@@ -78,7 +81,6 @@ class PlacementMemory:
         self._clock = 0
 
     def remember(self, key: str, positions: np.ndarray) -> None:
-        self._clock += 1
         slot = self._slots.get(key)
         if slot is None:
             if len(self._keys) < len(self._stamps):
@@ -89,31 +91,52 @@ class PlacementMemory:
                 del self._slots[self._keys[slot]]
                 self._keys[slot] = key
             self._slots[key] = slot
-            self._positions[slot] = positions
+        self._positions[slot] = positions
+        self._clock += 1
         self._stamps[slot] = self._clock
 
-    def neighbors(
-        self, key: str, positions: np.ndarray
-    ) -> Iterator[Tuple[str, np.ndarray]]:
-        """``(key, moved receiver indices)`` of partly moved placements.
+    def touch(self, key: str) -> None:
+        slot = self._slots.get(key)
+        if slot is not None:
+            self._clock += 1
+            self._stamps[slot] = self._clock
 
-        Only entries other than *key* where some but not all receivers
-        moved qualify; the fewest moved come first, the most recent
-        first among equals.
+    def neighbors(
+        self, keys: Sequence[str], positions: np.ndarray
+    ) -> List[Iterator[Tuple[str, np.ndarray]]]:
+        """Per query, ``(key, moved receiver indices)`` of partly moved placements.
+
+        *positions* is ``(Q, M, 2)``, one placement per entry of *keys*.
+        For each query only entries other than its own key where some
+        but not all receivers moved qualify; the fewest moved come
+        first, the most recent first among equals.  The comparison runs
+        once for the whole batch; each query's candidates are yielded
+        lazily.
         """
         count = len(self._keys)
-        if count == 0 or positions.shape != self._positions.shape[1:]:
-            return
-        moved = np.any(self._positions[:count] != positions, axis=2)
-        moved_counts = moved.sum(axis=1)
-        eligible = (moved_counts > 0) & (moved_counts < positions.shape[0])
-        own = self._slots.get(key)
-        if own is not None:
-            eligible[own] = False
+        if count == 0 or positions.shape[1:] != self._positions.shape[1:]:
+            return [iter(()) for _ in keys]
+        moved = np.any(self._positions[None, :count] != positions[:, None], axis=3)
+        moved_counts = moved.sum(axis=2)
+        eligible = (moved_counts > 0) & (moved_counts < positions.shape[1])
+        for query, key in enumerate(keys):
+            own = self._slots.get(key)
+            if own is not None:
+                eligible[query, own] = False
+        return [
+            self._ranked(moved[query], moved_counts[query], eligible[query])
+            if any_eligible
+            else iter(())
+            for query, any_eligible in enumerate(eligible.any(axis=1).tolist())
+        ]
+
+    def _ranked(
+        self, moved: np.ndarray, moved_counts: np.ndarray, eligible: np.ndarray
+    ) -> Iterator[Tuple[str, np.ndarray]]:
         slots = np.flatnonzero(eligible)
-        order = np.lexsort((-self._stamps[slots], moved_counts[slots]))
-        for slot in slots[order]:
-            yield self._keys[slot], np.flatnonzero(moved[slot])
+        slots = slots[np.lexsort((-self._stamps[slots], moved_counts[slots]))]
+        keys = [self._keys[slot] for slot in slots.tolist()]
+        return zip(keys, (np.flatnonzero(moved[slot]) for slot in slots))
 
 
 class SLOObserver(Protocol):
@@ -292,7 +315,7 @@ class AllocationService:
         # Register the request-latency histogram with explicit buckets up
         # front so Prometheus exposition gets cumulative `_bucket` series
         # (later bucket-less lookups accept this configuration).
-        self.metrics.histogram(
+        self._latency = self.metrics.histogram(
             "service.latency_seconds", buckets=DEFAULT_TIME_BUCKETS
         )
         self._channel_cache = LRUCache(self.options.channel_cache_capacity)
@@ -404,7 +427,6 @@ class AllocationService:
                 )
         elapsed = time.perf_counter() - start
         per_request = elapsed / len(requests)
-        latency_histogram = self.metrics.histogram("service.latency_seconds")
         self._refresh_gauges()
 
         results = []
@@ -413,7 +435,7 @@ class AllocationService:
             # The exemplar links this latency observation's bucket back
             # to its trace; with tracing disabled every root is None and
             # the histogram state is bit-identical to the untraced path.
-            latency_histogram.observe(
+            self._latency.observe(
                 per_request,
                 exemplar=root.trace_id if root is not None else None,
             )
@@ -543,27 +565,46 @@ class AllocationService:
             self._base_fingerprint, positions, self.options.quantum
         )
 
-    def _incremental_channel(
-        self, key: str, positions: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """Build this placement's matrix from a near neighbor's columns.
+    def _incremental_channels(
+        self, keys: Sequence[str], positions: np.ndarray
+    ) -> Dict[int, np.ndarray]:
+        """Build misses' matrices from near neighbours' columns, in one call.
 
-        Takes the remembered placement differing in the fewest receivers
-        whose matrix is still cached, and recomputes only the moved
-        columns.  Returns None when every neighbor moved wholesale.
+        For each query (``keys[q]`` at ``positions[q]``) takes the
+        remembered placement differing in the fewest receivers whose
+        matrix is still cached, and recomputes only the moved columns;
+        all of the batch's moved columns go through one stacked
+        :func:`channel_matrix_update`.  Returns ``{query: matrix}``,
+        without the queries whose every neighbour moved wholesale.
         """
-        for neighbor_key, moved in self._placement_memory.neighbors(key, positions):
-            base = self._channel_cache.peek(neighbor_key)
-            if base is not None:
-                break
-        else:
-            return None
+        peeked: Dict[str, Optional[np.ndarray]] = {}
+        found: List[int] = []
+        bases: List[np.ndarray] = []
+        moved_pairs: List[np.ndarray] = []
+        for query, candidates in enumerate(
+            self._placement_memory.neighbors(keys, positions)
+        ):
+            for neighbor_key, moved in candidates:
+                if neighbor_key not in peeked:
+                    peeked[neighbor_key] = self._channel_cache.peek(neighbor_key)
+                base = peeked[neighbor_key]
+                if base is not None:
+                    moved_pairs.append(
+                        np.stack((np.full_like(moved, len(found)), moved), axis=1)
+                    )
+                    found.append(query)
+                    bases.append(base)
+                    break
+        if not found:
+            return {}
+        pairs = np.concatenate(moved_pairs)
+        moved_xy = positions[np.array(found)[pairs[:, 0]], pairs[:, 1]]
         with self.metrics.timer("service.channel_incremental_seconds"):
-            matrix = channel_matrix_update(
-                self.scene, base, positions[moved], moved
+            stack = channel_matrix_update(
+                self.scene, np.stack(bases), moved_xy, pairs
             )
-        self.metrics.counter("service.channel_incremental").increment()
-        return matrix
+        self.metrics.counter("service.channel_incremental").increment(len(found))
+        return dict(zip(found, stack))
 
     def _screen_channel(
         self, key: str, positions: np.ndarray, matrix: np.ndarray
@@ -595,11 +636,13 @@ class AllocationService:
         """Resolve every request's channel matrix, batching the misses.
 
         Misses first try the incremental path (recompute only the moved
-        receivers' columns of a remembered neighbor placement); whatever
-        remains becomes one batched broadcast.  The returned per-request
+        receivers' columns of a remembered neighbour placement, one
+        stacked update for the batch); whatever remains becomes one
+        batched broadcast.  Neighbours are looked up against the memory
+        as it stood when the batch arrived.  The returned per-request
         ``channel_meta`` dicts carry each request's cache outcome
         (``hit`` / ``incremental`` / ``computed``) and repair flag for
-        the trace layer and labeled counters.
+        the trace layer; the counters are incremented once per batch.
         """
         placement_keys = [
             self._placement_key(r.rx_positions_xy) for r in requests
@@ -615,58 +658,57 @@ class AllocationService:
             if cached is not None:
                 channels[i] = cached
                 channel_hits[i] = True
-                self.metrics.counter("service.channel_hits").increment()
             else:
                 miss_keys.setdefault(key, []).append(i)
+        hits = sum(channel_hits)
+        if hits:
+            self.metrics.counter("service.channel_hits").increment(hits)
         if miss_keys:
             self.metrics.counter("service.channel_misses").increment(len(miss_keys))
-            batched: Dict[str, List[int]] = {}
-            for key, slots in miss_keys.items():
-                positions = np.array(
-                    requests[slots[0]].rx_positions_xy, dtype=float
-                )
-                matrix = self._incremental_channel(key, positions)
-                if matrix is None:
-                    batched[key] = slots
-                    continue
-                matrix, repaired = self._screen_channel(key, positions, matrix)
-                self._channel_cache.put(key, matrix)
-                self._placement_memory.remember(key, positions)
-                for i in slots:
-                    channels[i] = matrix
-                    channel_meta[i] = {
-                        "outcome": "incremental", "repaired": repaired,
-                    }
-            if batched:
-                indices = [slots[0] for slots in batched.values()]
-                placements = np.array(
-                    [requests[i].rx_positions_xy for i in indices], dtype=float
-                )
+            keys = list(miss_keys)
+            num_receivers = self.scene.num_receivers
+            for slots in miss_keys.values():
+                count = len(requests[slots[0]].rx_positions_xy)
+                if count != num_receivers:
+                    raise GeometryError(
+                        f"expected {num_receivers} receivers per placement, "
+                        f"got {count}"
+                    )
+            positions = np.array(
+                [requests[slots[0]].rx_positions_xy for slots in miss_keys.values()],
+                dtype=float,
+            )
+            incremental = self._incremental_channels(keys, positions)
+            fresh = [
+                (query, matrix, "incremental")
+                for query, matrix in incremental.items()
+            ]
+            computed = [q for q in range(len(keys)) if q not in incremental]
+            if computed:
                 with self.metrics.timer("service.channel_seconds"):
-                    stack = channel_matrix_stack(self.scene, placements)
-                for matrix, (key, slots) in zip(stack, batched.items()):
-                    positions = np.array(
-                        requests[slots[0]].rx_positions_xy, dtype=float
-                    )
-                    matrix, repaired = self._screen_channel(
-                        key, positions, matrix
-                    )
-                    self._channel_cache.put(key, matrix)
-                    self._placement_memory.remember(key, positions)
-                    for i in slots:
-                        channels[i] = matrix
-                        channel_meta[i] = {
-                            "outcome": "computed", "repaired": repaired,
-                        }
+                    stack = channel_matrix_stack(self.scene, positions[computed])
+                fresh.extend(
+                    (query, matrix, "computed")
+                    for query, matrix in zip(computed, stack)
+                )
+            for query, matrix, outcome in fresh:
+                key = keys[query]
+                matrix, repaired = self._screen_channel(
+                    key, positions[query], matrix
+                )
+                self._channel_cache.put(key, matrix)
+                self._placement_memory.remember(key, positions[query])
+                for i in miss_keys[key]:
+                    channels[i] = matrix
+                    channel_meta[i] = {"outcome": outcome, "repaired": repaired}
         for i, key in enumerate(placement_keys):
             if channel_hits[i]:
-                self._placement_memory.remember(
-                    key, np.array(requests[i].rx_positions_xy, dtype=float)
-                )
-        for meta in channel_meta:
+                self._placement_memory.touch(key)
+        outcomes = Counter(meta["outcome"] for meta in channel_meta)
+        for outcome, count in outcomes.items():
             self.metrics.counter(
-                "service.channel_outcomes", outcome=meta["outcome"]
-            ).increment()
+                "service.channel_outcomes", outcome=outcome
+            ).increment(count)
         return channels, placement_keys, channel_hits, channel_meta
 
     def _allocation_stage(
@@ -724,15 +766,18 @@ class AllocationService:
             if cached is not None:
                 swings[i] = cached
                 allocation_hits[i] = True
-                self.metrics.counter("service.allocation_hits").increment()
-                self.metrics.counter(
-                    "service.allocation_outcomes", outcome="hit"
-                ).increment()
             else:
                 miss_slots.setdefault(key, []).append(i)
-                self.metrics.counter(
-                    "service.allocation_outcomes", outcome="miss"
-                ).increment()
+        hits = sum(allocation_hits)
+        if hits:
+            self.metrics.counter("service.allocation_hits").increment(hits)
+            self.metrics.counter(
+                "service.allocation_outcomes", outcome="hit"
+            ).increment(hits)
+        if hits < len(requests):
+            self.metrics.counter(
+                "service.allocation_outcomes", outcome="miss"
+            ).increment(len(requests) - hits)
         if miss_slots:
             self.metrics.counter("service.allocation_misses").increment(
                 len(miss_slots)

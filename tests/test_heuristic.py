@@ -204,3 +204,59 @@ class TestVectorizedRanking:
         assert rank_transmitters(fig7_channel, kappa=1.3) == (
             _rank_transmitters_loop(fig7_channel, kappa=1.3)
         )
+
+
+class TestArraySolveMatchesReference:
+    """``solve``/``sweep`` build the swing matrix from the ranking's index
+    arrays; they must equal the pair-list path over the reference loop."""
+
+    @staticmethod
+    def _reference(problem, kappa):
+        from repro.core import binary_allocation, truncate_to_budget
+        from repro.core.heuristic import _rank_transmitters_loop
+
+        ranked = _rank_transmitters_loop(problem.channel, kappa)
+        return binary_allocation(
+            problem, truncate_to_budget(problem, ranked), solver="reference"
+        )
+
+    @staticmethod
+    def _channels():
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            num_tx = int(rng.integers(1, 20))
+            num_rx = int(rng.integers(1, 6))
+            channel = rng.uniform(0.0, 1e-5, size=(num_tx, num_rx))
+            channel[rng.uniform(size=num_tx) < 0.2] = 0.0  # zero rows
+            yield channel
+        # Identical rows: every SJR ties exactly.
+        yield np.tile(np.array([[2e-6, 1e-6, 2e-6]]), (6, 1))
+        yield np.zeros((4, 2))
+
+    def test_solve_and_sweep_match_reference(self, led, photodiode, noise):
+        from repro.core import AllocationProblem
+
+        full = led.full_swing_power
+        for channel in self._channels():
+            num_tx = channel.shape[0]
+            budgets = [0.0, 0.5 * full, 2.0 * full, 0.4 * num_tx * full,
+                       num_tx * full, 3.0 * num_tx * full]
+            problem = AllocationProblem(
+                channel=channel, power_budget=budgets[0], led=led,
+                photodiode=photodiode, noise=noise,
+            )
+            for kappa in (1.0, 1.3, 2.0):
+                heuristic = RankingHeuristic(kappa=kappa)
+                swept = heuristic.sweep(problem, budgets)
+                for budget, from_sweep in zip(budgets, swept):
+                    scoped = problem.with_budget(budget)
+                    solved = heuristic.solve(scoped)
+                    expected = self._reference(scoped, kappa)
+                    for allocation in (solved, from_sweep):
+                        assert np.array_equal(allocation.swings, expected.swings)
+                        assert allocation.assignments == expected.assignments
+                        assert all(
+                            type(tx) is int and type(rx) is int
+                            for tx, rx in allocation.assignments
+                        )
+                        assert allocation.problem.power_budget == budget

@@ -156,6 +156,48 @@ class TestAssignmentMatrix:
         with pytest.raises(AllocationError):
             assignment_matrix(4, 2, [(0, 0)], -0.9)
 
+    def test_matches_pair_loop_reference(self):
+        """The array checks accept, fill and reject exactly as a pair-by-pair
+        scan does, naming the first offending pair."""
+
+        def reference(num_tx, num_rx, assignments, swing):
+            matrix = np.zeros((num_tx, num_rx))
+            seen = set()
+            for tx, rx in assignments:
+                if not 0 <= tx < num_tx:
+                    raise AllocationError(f"TX index {tx} out of range")
+                if not 0 <= rx < num_rx:
+                    raise AllocationError(f"RX index {rx} out of range")
+                if tx in seen:
+                    raise AllocationError(f"TX index {tx} assigned twice")
+                seen.add(tx)
+                matrix[tx, rx] = swing
+            return matrix
+
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            num_tx, num_rx = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+            count = int(rng.integers(0, num_tx + 2))
+            assignments = [
+                (int(rng.integers(-1, num_tx + 1)), int(rng.integers(-1, num_rx + 1)))
+                for _ in range(count)
+            ]
+            try:
+                expected = reference(num_tx, num_rx, assignments, 0.9)
+            except AllocationError as error:
+                with pytest.raises(AllocationError) as raised:
+                    assignment_matrix(num_tx, num_rx, assignments, 0.9)
+                assert str(raised.value) == str(error)
+            else:
+                got = assignment_matrix(num_tx, num_rx, assignments, 0.9)
+                assert np.array_equal(got, expected)
+
+    def test_non_integer_pairs_rejected(self):
+        with pytest.raises(AllocationError):
+            assignment_matrix(4, 2, [(0.5, 0)], 0.9)
+        with pytest.raises(AllocationError):
+            assignment_matrix(4, 2, [(0, 0, 1)], 0.9)
+
 
 class TestAllocationObject:
     def test_binary_allocation_feasible(self, fig7_problem):

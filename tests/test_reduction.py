@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.channel import channel_matrix, channel_matrix_update
+from repro.channel import channel_matrix, channel_matrix_stack, channel_matrix_update
 from repro.core import (
     AllocationProblem,
     ContinuousOptimizer,
@@ -400,6 +400,60 @@ class TestIncrementalChannel:
             channel_matrix_update(fig7_scene, base, [(1.0, 1.0)], [99])
         with pytest.raises(ChannelError):
             channel_matrix_update(fig7_scene, base, [(1.0, 1.0, 1.0)], [0])
+
+    def test_stacked_rows_match_2d_calls_and_rebuild(self, fig7_scene):
+        """Seeded placements: every row of one stacked call is bitwise the
+        2-D call on that row and the full ``channel_matrix_stack`` rebuild."""
+        rng = np.random.default_rng(31)
+        num_rx = fig7_scene.num_receivers
+        for trial in range(25):
+            count = int(rng.integers(1, 6))
+            old = rng.uniform(0.2, 2.8, size=(count, num_rx, 2))
+            new = old.copy()
+            pairs = []
+            for b in range(count):
+                # One moved receiver, all but one, or anything between.
+                size = (1, num_rx - 1, int(rng.integers(1, num_rx + 1)))[b % 3]
+                moved = np.sort(rng.choice(num_rx, size=size, replace=False))
+                new[b, moved] = rng.uniform(0.2, 2.8, size=(size, 2))
+                pairs += [(b, int(m)) for m in moved]
+            pairs = np.array(pairs)
+            bases = channel_matrix_stack(fig7_scene, old)
+            stacked = channel_matrix_update(
+                fig7_scene, bases, new[pairs[:, 0], pairs[:, 1]], pairs
+            )
+            rebuilt = channel_matrix_stack(fig7_scene, new)
+            assert stacked.shape == bases.shape
+            for b in range(count):
+                moved = pairs[pairs[:, 0] == b, 1]
+                single = channel_matrix_update(
+                    fig7_scene, bases[b], new[b, moved], moved
+                )
+                assert np.array_equal(stacked[b], single)
+                assert np.array_equal(stacked[b], rebuilt[b])
+
+    def test_stacked_validation_errors(self, fig7_scene):
+        bases = channel_matrix_stack(
+            fig7_scene, np.full((2, fig7_scene.num_receivers, 2), 1.5)
+        )
+        with pytest.raises(ChannelError, match="duplicate"):
+            channel_matrix_update(
+                fig7_scene, bases, [(1.0, 1.0), (2.0, 2.0)], [(1, 2), (1, 2)]
+            )
+        with pytest.raises(ChannelError, match="placement index"):
+            channel_matrix_update(fig7_scene, bases, [(1.0, 1.0)], [(2, 0)])
+        with pytest.raises(ChannelError, match="placement index"):
+            channel_matrix_update(fig7_scene, bases, [(1.0, 1.0)], [(-1, 0)])
+        with pytest.raises(GeometryError, match="outside the room"):
+            channel_matrix_update(
+                fig7_scene, bases, [(1.0, 1.0), (1.0, -0.5)], [(0, 0), (1, 3)]
+            )
+        with pytest.raises(GeometryError):
+            channel_matrix_update(fig7_scene, bases, [(1.0, 1.0)], [(0, 99)])
+        with pytest.raises(ChannelError):
+            channel_matrix_update(fig7_scene, bases, [(1.0, 1.0)], [1])
+        with pytest.raises(ChannelError):
+            channel_matrix_update(fig7_scene, bases, [], np.empty((0, 2), int))
 
 
 class TestServiceAcceleration:

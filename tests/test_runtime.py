@@ -566,6 +566,85 @@ class TestAllocationService:
         with pytest.raises(RuntimeEngineError):
             AllocationRequest(**kwargs)
 
+    def test_recomputed_placement_is_remembered_where_computed(self):
+        # The third request recomputes the first key (evicted from the
+        # one-entry channel cache) at positions 0.3 mm away, in the same
+        # quantum cell; the fourth then moves one receiver of that key.
+        # Remembering the key's first positions reused a column computed
+        # at the wrong place (served throughput off by ~4e-7 relative).
+        scene = simulation_scene([(1.0, 1.0), (2.0, 2.0)])
+        service = AllocationService(
+            scene, options=ServiceOptions(channel_cache_capacity=1)
+        )
+        sequence = [
+            ((1.0, 1.0), (2.0, 2.0)),
+            ((0.5, 2.5), (2.5, 0.5)),
+            ((1.0003, 1.0), (2.0, 2.0)),
+            ((1.0, 1.0), (2.3, 2.0)),
+        ]
+        for positions in sequence:
+            result = service.handle(
+                AllocationRequest(rx_positions_xy=positions, power_budget=1.2)
+            )
+            expected = channel_matrix_stack(scene, np.array([positions]))[0]
+            cached = service._channel_cache.peek(result.fingerprint)
+            assert np.array_equal(cached, expected)
+
+    def test_metric_totals_per_batch(self):
+        """Counters are incremented once per batch; their totals are those
+        of per-request accounting.  Only the incremental/computed split
+        differs from per-miss lookups: a miss no longer finds a neighbour
+        computed earlier in its own batch (G after C below)."""
+        a = ((1.0, 1.0), (2.0, 2.0), (1.5, 2.5))
+        b = ((1.0, 1.0), (2.5, 2.0), (1.5, 2.5))
+        c = ((1.5, 1.0), (2.0, 2.0), (1.5, 2.5))
+        d = ((0.5, 0.5), (2.8, 2.8), (0.4, 2.6))
+        e = ((1.5, 1.0), (2.5, 2.0), (1.5, 2.5))
+        f = ((0.5, 0.5), (2.8, 2.8), (2.0, 0.6))
+        g = ((1.5, 1.0), (0.7, 2.2), (2.2, 0.7))
+
+        def request(positions, solver="heuristic", budget=1.2):
+            return AllocationRequest(
+                rx_positions_xy=positions, power_budget=budget, solver=solver
+            )
+
+        batches = [
+            [request(a), request(a), request(b)],
+            [request(a), request(c), request(g), request(d),
+             request(c, solver="greedy")],
+            [request(b, budget=0.6), request(e), request(f), request(e),
+             request(a)],
+            [request(c, solver="greedy"), request(f, budget=0.9),
+             request(d, solver="greedy")],
+        ]
+        service = AllocationService(simulation_scene(list(a)))
+        for batch in batches:
+            service.handle_batch(batch)
+        snapshot = service.metrics_snapshot()
+        counters = snapshot["counters"]
+        expected = {
+            "service.requests": 16,
+            "service.channel_hits": 6,
+            "service.channel_misses": 7,
+            'service.channel_outcomes{outcome="hit"}': 6,
+            "service.allocation_hits": 3,
+            "service.allocation_misses": 11,
+            'service.allocation_outcomes{outcome="hit"}': 3,
+            'service.allocation_outcomes{outcome="miss"}': 13,
+            "pool.tasks": 11,
+            'pool.solves{solver="heuristic"}': 9,
+            'pool.solves{solver="greedy"}': 2,
+            # Per-miss lookups gave 4 incremental placements (6 requests)
+            # and 4 computed requests.
+            "service.channel_incremental": 3,
+            'service.channel_outcomes{outcome="incremental"}': 5,
+            'service.channel_outcomes{outcome="computed"}': 5,
+        }
+        assert {name: counters.get(name) for name in expected} == expected
+        histograms = snapshot["histograms"]
+        assert histograms["pool.solve_seconds"]["count"] == 11
+        assert histograms["service.latency_seconds"]["count"] == 16
+
     def test_non_finite_deadline_rejected(self):
         # Pre-fix, a NaN deadline sailed through request validation and
         # turned into a never-expiring Deadline downstream.
@@ -601,25 +680,40 @@ def _reference_neighbor(entries, key, positions, cached):
 
 
 class TestPlacementMemory:
-    def test_remember_refreshes_recency_but_keeps_positions(self):
+    def test_touch_refreshes_recency_but_keeps_positions(self):
         memory = PlacementMemory(capacity=2, num_receivers=2)
         first = np.array([[1.0, 1.0], [2.0, 2.0]])
         memory.remember("a", first)
         memory.remember("b", first + [[0.0, 0.0], [0.5, 0.0]])
-        memory.remember("a", first + 0.25)  # refreshes recency only
+        memory.touch("a")  # a cache hit: recency only
+        memory.touch("z")  # never remembered: nothing to refresh
         memory.remember("c", first + [[0.5, 0.0], [0.0, 0.0]])  # evicts b
         query = first + [[0.0, 0.0], [0.1, 0.0]]
-        found = [(k, moved.tolist()) for k, moved in memory.neighbors("q", query)]
-        # c moved both receivers, so only a (at its first positions) qualifies.
+        (candidates,) = memory.neighbors(["q"], query[None])
+        found = [(k, moved.tolist()) for k, moved in candidates]
+        # c moved both receivers, so only a (at its positions) qualifies.
         assert found == [("a", [1])]
+
+    def test_remember_replaces_positions_of_a_recompute(self):
+        memory = PlacementMemory(capacity=4, num_receivers=2)
+        first = np.array([[1.0, 1.0], [2.0, 2.0]])
+        memory.remember("a", first)
+        memory.remember("a", first + [[0.0003, 0.0], [0.0, 0.0]])
+        (candidates,) = memory.neighbors(
+            ["q"], (first + [[0.0, 0.0], [0.3, 0.0]])[None]
+        )
+        # The recomputed positions differ from the query in both receivers.
+        assert list(candidates) == []
 
     def test_receiver_count_mismatch_finds_nothing(self):
         memory = PlacementMemory(capacity=4, num_receivers=2)
         memory.remember("a", np.array([[1.0, 1.0], [2.0, 2.0]]))
-        assert list(memory.neighbors("q", np.array([[1.0, 1.0]]))) == []
+        found = memory.neighbors(["q", "r"], np.ones((2, 1, 2)))
+        assert [list(candidates) for candidates in found] == [[], []]
 
     def test_property_matches_brute_force_scan(self):
-        """Seeded sweep: the first cached neighbor equals a full scan."""
+        """Seeded sweep: each query's first cached neighbour in one batched
+        lookup equals a full scan of that query alone."""
         rng = np.random.default_rng(23)
         grid = np.arange(4, dtype=float)
         for trial in range(40):
@@ -628,27 +722,32 @@ class TestPlacementMemory:
             memory = PlacementMemory(capacity, num_rx)
             entries = []
             for step in range(int(rng.integers(0, 30))):
+                key = f"k{int(rng.integers(0, 10))}"
+                index = next(
+                    (i for i, (k, _) in enumerate(entries) if k == key), None
+                )
+                if rng.uniform() < 0.3:
+                    memory.touch(key)
+                    if index is not None:
+                        entries.append(entries.pop(index))
+                    continue
                 # Few distinct coordinates, so partial moves are common.
                 positions = rng.choice(grid, size=(num_rx, 2))
-                key = f"k{int(rng.integers(0, 10))}"
                 memory.remember(key, positions)
-                if any(k == key for k, _ in entries):
-                    index = next(i for i, (k, _) in enumerate(entries) if k == key)
-                    entries.append(entries.pop(index))
-                else:
-                    entries.append((key, positions))
-                    del entries[:-capacity]
+                if index is not None:
+                    del entries[index]
+                entries.append((key, positions))
+                del entries[:-capacity]
             cached = {k for k, _ in entries if rng.uniform() < 0.7}
-            for _ in range(5):
-                query = rng.choice(grid, size=(num_rx, 2))
-                key = f"k{int(rng.integers(0, 12))}"
+            num_queries = int(rng.integers(1, 6))
+            queries = rng.choice(grid, size=(num_queries, num_rx, 2))
+            keys = [f"k{int(rng.integers(0, 12))}" for _ in range(num_queries)]
+            lookups = memory.neighbors(keys, queries)
+            assert len(lookups) == num_queries
+            for key, query, candidates in zip(keys, queries, lookups):
                 expected = _reference_neighbor(entries, key, query, cached)
                 found = next(
-                    (
-                        (k, moved)
-                        for k, moved in memory.neighbors(key, query)
-                        if k in cached
-                    ),
+                    ((k, moved) for k, moved in candidates if k in cached),
                     None,
                 )
                 if expected is None:
